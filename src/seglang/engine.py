@@ -1,13 +1,15 @@
 """Token-driven generation loop with mask and crop events.
 
-Decoding proceeds one token at a time over the interleaved sequence. A seg
-token triggers mask decoding against the cached raw pixel features and
-becomes the current mask; a region-marker token crops the current mask's
-bounding box, encodes it through the semantic branch, and splices the
-features into the sequence; the end token stops the loop. Protocol
+Decoding proceeds one token at a time over the interleaved sequence: one
+prefill pass over the prefix, then one cached LM call per step over the rows
+that step appended. A seg token triggers mask decoding against the cached
+raw pixel features and becomes the current mask; a region-marker token crops
+the current mask's bounding box, encodes it through the semantic branch, and
+splices the features into the sequence; the end token stops the loop. Protocol
 violations (marker before any mask, marker over an empty mask) abort the
-episode and are recorded in the event trace. With interleaving disabled the
-marker token is ordinary text and no crop can ever occur.
+episode and are recorded in the event trace; a token whose rows do not fit
+in `max_seq` ends it unemitted. With interleaving disabled the marker token
+is ordinary text and no crop can ever occur.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ class GenerationResult:
     protocol_error: str | None = None
     truncated: bool = False
     logits_log: list[np.ndarray] | None = None
+    end_reason: str = "max_steps"  # or eos, context_full, protocol_error
 
     def token_text(self, vocab) -> str:
         return vocab.decode(self.output_tokens)
@@ -78,6 +81,8 @@ def _episode(model: Model, image: np.ndarray, instruction: list[int],
     # one front-end pass per episode; every mask decode reuses f_p_raw
     f_g, f_p_raw = model.encode_image(image)
     seq = sequence.build_inference_prefix(f_g, instruction, vocab)
+    cache = lm.DecodeCache(cfg.lm_layers)
+    logits, _ = lm.forward(seq, store, cfg, cache)
 
     masks: list[np.ndarray] = []
     output: list[int] = []
@@ -86,42 +91,28 @@ def _episode(model: Model, image: np.ndarray, instruction: list[int],
     m_current: np.ndarray | None = None
     seg_count = 0
     protocol_error = None
-    truncated = True
+    end_reason = "max_steps"
 
     for step in range(max_steps):
-        logits, _ = lm.forward(seq, store, cfg)
+        if logits is None:   # run the rows the previous step appended
+            logits, _ = lm.forward(seq, store, cfg, cache)
         if record_logits:
             logits_log.append(logits.data[-1].copy())
         token = policy(logits.data[-1])
+        logits = None
 
         if token == vocab.eos:
             output.append(token)
             trace.append({"step": step, "event": "EOS", "token": token})
-            truncated = False
+            end_reason = "eos"
             break
 
-        if token == vocab.seg:
-            seg_count += 1
-            seq.append_seg(seg_count, supervised=False)
-            # the seg hidden exists once the slot is part of the input
-            _, seg_states = lm.forward(seq, store, cfg)
-            mask_map = maskdec.decode_mask(seg_states[-1].hidden, f_p_raw,
-                                           image.shape[:2], store)
-            masks.append(mask_map.data.copy())
-            m_current = maskdec.binarize(mask_map, cfg.threshold)
-            output.append(token)
-            trace.append({"step": step, "event": "SEG", "token": token,
-                          "mask_index": len(masks) - 1})
-            continue
-
+        f_l = None
         if token == vocab.image_id and ilvc_enabled:
-            if m_current is None:
-                protocol_error = "m_current_null"
-                trace.append({"step": step, "event": "ERROR",
-                              "reason": protocol_error})
-                break
-            if not m_current.any():
-                protocol_error = "empty_mask"
+            if m_current is None or not m_current.any():
+                protocol_error = "m_current_null" if m_current is None \
+                    else "empty_mask"
+                end_reason = "protocol_error"
                 trace.append({"step": step, "event": "ERROR",
                               "reason": protocol_error})
                 break
@@ -130,20 +121,35 @@ def _episode(model: Model, image: np.ndarray, instruction: list[int],
             if region_hook is not None:
                 region = region_hook(region)
             f_l = sefe.encode_local(region, store, cfg)
+        if len(seq) + 1 + (0 if f_l is None else f_l.tokens) > cfg.max_seq:
+            end_reason = "context_full"
+            break
+        output.append(token)
+
+        if token == vocab.seg:
+            seg_count += 1
+            seq.append_seg(seg_count, supervised=False)
+            # one row: its hidden feeds the mask, its logits the next token
+            logits, seg_states = lm.forward(seq, store, cfg, cache)
+            mask_map = maskdec.decode_mask(seg_states[-1].hidden, f_p_raw,
+                                           image.shape[:2], store)
+            masks.append(mask_map.data.copy())
+            m_current = maskdec.binarize(mask_map, cfg.threshold)
+            trace.append({"step": step, "event": "SEG", "token": token,
+                          "mask_index": len(masks) - 1})
+        elif f_l is not None:
             seq.append_text(token, supervised=False)
             seq.append_feat(f_l, f"local:{seg_count}")
-            output.append(token)
             trace.append({"step": step, "event": "CROP", "token": token,
                           "box": list(crop.box)})
-            continue
-
-        seq.append_text(token, supervised=False)
-        output.append(token)
-        trace.append({"step": step, "event": "TEXT", "token": token})
+        else:
+            seq.append_text(token, supervised=False)
+            trace.append({"step": step, "event": "TEXT", "token": token})
 
     return GenerationResult(masks=masks, output_tokens=output, trace=trace,
-                            protocol_error=protocol_error, truncated=truncated,
-                            logits_log=logits_log)
+                            protocol_error=protocol_error,
+                            truncated=end_reason != "eos",
+                            logits_log=logits_log, end_reason=end_reason)
 
 
 def dump_trace(result: GenerationResult, path: str) -> None:

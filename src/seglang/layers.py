@@ -76,12 +76,16 @@ def merge_heads(x: Tensor) -> Tensor:
 
 
 def attention(q_in: Tensor, kv_in: Tensor, store: ParamStore, prefix: str,
-              n_heads: int, causal: bool = False, return_attn: bool = False):
+              n_heads: int, causal: bool = False, return_attn: bool = False,
+              past: dict | None = None):
     """Multi-head attention; `q_in` attends over `kv_in` (equal for self).
 
     q_in: T_q x D, kv_in: T_k x D. Causal masking adds NEG_INF above the
-    diagonal (only meaningful when T_q == T_k), which underflows to an exact
-    zero weight, so future positions contribute nothing bit-wise.
+    diagonal, which underflows to an exact zero weight, so future positions
+    contribute nothing bit-wise. `past`, when given, holds the K and V
+    (heads x rows x d_head arrays, no tape) of the rows before `kv_in`: the
+    queries attend over past + new rows, the mask's diagonal shifts by the
+    past length, and `past` is updated to cover the new rows too.
     """
     d = q_in.shape[-1]
     if d % n_heads != 0:
@@ -89,10 +93,15 @@ def attention(q_in: Tensor, kv_in: Tensor, store: ParamStore, prefix: str,
     q = split_heads(linear(q_in, store, f"{prefix}.q"), n_heads)
     k = split_heads(linear(kv_in, store, f"{prefix}.k"), n_heads)
     v = split_heads(linear(kv_in, store, f"{prefix}.v"), n_heads)
+    if past is not None:
+        if past:
+            k = concat([tensor(past["k"]), k], axis=1)
+            v = concat([tensor(past["v"]), v], axis=1)
+        past["k"], past["v"] = k.data, v.data
     scores = mul(matmul(q, transpose(k, (0, 2, 1))), 1.0 / np.sqrt(d // n_heads))
     if causal:
-        t_q, t_k = q_in.shape[0], kv_in.shape[0]
-        mask = np.triu(np.full((t_q, t_k), NEG_INF), k=1)
+        t_q, t_k = q.shape[1], k.shape[1]
+        mask = np.triu(np.full((t_q, t_k), NEG_INF), k=1 + t_k - t_q)
         scores = add(scores, tensor(mask[None, :, :]))
     weights = softmax(scores, axis=-1)
     out = linear(merge_heads(matmul(weights, v)), store, f"{prefix}.o")
@@ -102,10 +111,11 @@ def attention(q_in: Tensor, kv_in: Tensor, store: ParamStore, prefix: str,
 
 
 def block(x: Tensor, store: ParamStore, prefix: str, n_heads: int,
-          causal: bool = False) -> Tensor:
+          causal: bool = False, past: dict | None = None) -> Tensor:
     """Pre-norm transformer block: attention residual, then MLP residual."""
     h = layer_norm(x)
-    x = add(x, attention(h, h, store, f"{prefix}.attn", n_heads, causal=causal))
+    x = add(x, attention(h, h, store, f"{prefix}.attn", n_heads, causal=causal,
+                         past=past))
     x = add(x, mlp_gelu(layer_norm(x), store, f"{prefix}.mlp"))
     return x
 

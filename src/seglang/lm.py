@@ -4,7 +4,8 @@ Text tokens and seg slots embed through the token table; feature blocks
 splice their rows straight into the input matrix. All positions share one
 learned absolute positional table. The forward pass returns full logits
 plus one SegState per seg slot (the final-layer hidden at that position
-and the logits the output head produces from it).
+and the logits the output head produces from it). With a DecodeCache a pass
+runs only the rows appended since the previous one (incremental decoding).
 """
 
 from __future__ import annotations
@@ -27,6 +28,15 @@ class SegState:
     position: int
 
 
+class DecodeCache:
+    """Each LM layer's K and V for the first `length` rows of one sequence,
+    held as plain arrays, so the cache never keeps an autodiff tape."""
+
+    def __init__(self, n_layers: int):
+        self.length = 0
+        self.layers: list[dict] = [{} for _ in range(n_layers)]
+
+
 def init_lm(store: ParamStore, cfg, vocab_size: int,
             rng: np.random.Generator) -> None:
     store.add("lm.tok", Tensor(rng.standard_normal((vocab_size, cfg.d_model)) * 0.02))
@@ -36,13 +46,18 @@ def init_lm(store: ParamStore, cfg, vocab_size: int,
     layers.init_linear(store, "lm.head", cfg.d_model, vocab_size, rng)
 
 
-def forward(seq: InterleavedSequence, store: ParamStore,
-            cfg) -> tuple[Tensor, list[SegState]]:
-    """Causal forward pass -> (T x V logits, seg states in slot order)."""
-    if not seq.elements:
-        raise ShapeError("forward: empty sequence")
+def forward(seq: InterleavedSequence, store: ParamStore, cfg,
+            cache: DecodeCache | None = None) -> tuple[Tensor, list[SegState]]:
+    """Causal forward pass -> (T x V logits, seg states in slot order).
+
+    With a cache only the rows past cache.length run, and the logits and
+    seg states cover just those rows; the cache then covers them too.
+    """
     token_ids, _, seg_positions, feat_spans = seq.layout()
     n = len(token_ids)
+    start = 0 if cache is None else cache.length
+    if n <= start:
+        raise ShapeError(f"forward: empty sequence after {start} cached rows")
     if n > cfg.max_seq:
         raise ShapeError(f"sequence length {n} exceeds max_seq {cfg.max_seq}")
 
@@ -50,7 +65,7 @@ def forward(seq: InterleavedSequence, store: ParamStore,
     # lookup each, splice feature blocks through unchanged
     pieces: list[Tensor] = []
     feat_at = {lo: e for lo, _, e in feat_spans}
-    pos = 0
+    pos = start
     run: list[int] = []
     while pos < n:
         e = feat_at.get(pos)
@@ -69,16 +84,19 @@ def forward(seq: InterleavedSequence, store: ParamStore,
     if run:
         pieces.append(embedding_lookup(store["lm.tok"], run))
     x = pieces[0] if len(pieces) == 1 else concat(pieces, axis=0)
-    x = add(x, tslice(store["lm.pos"], slice(0, n)))
+    x = add(x, tslice(store["lm.pos"], slice(start, n)))
 
     for i in range(cfg.lm_layers):
-        x = layers.block(x, store, f"lm.blk{i}", cfg.n_heads, causal=True)
+        x = layers.block(x, store, f"lm.blk{i}", cfg.n_heads, causal=True,
+                         past=None if cache is None else cache.layers[i])
     hidden = layer_norm(x)
     logits = layers.linear(hidden, store, "lm.head")
+    if cache is not None:
+        cache.length = n
 
-    seg_states = [SegState(hidden=tslice(hidden, p), logits=tslice(logits, p),
-                           position=p)
-                  for p in seg_positions]
+    seg_states = [SegState(hidden=tslice(hidden, p - start),
+                           logits=tslice(logits, p - start), position=p)
+                  for p in seg_positions if p >= start]
     return logits, seg_states
 
 
@@ -105,12 +123,6 @@ def next_token_loss(logits: Tensor, targets: np.ndarray,
     rows = tslice(logp, idx - 1)
     picked = take_rows(rows, targets[idx])
     return mul(tmean(picked), -1.0)
-
-
-def sample_greedy(seq: InterleavedSequence, store: ParamStore, cfg) -> int:
-    """Argmax over the final position's logits; ties go to the lowest id."""
-    logits, _ = forward(seq, store, cfg)
-    return int(np.argmax(logits.data[-1]))
 
 
 def top_k_attribute(seg: SegState, subset: list[int], k: int) -> list[int]:

@@ -58,7 +58,14 @@ def _cells(canvas: int) -> dict[str, tuple[int, int, int, int]]:
     }
 
 
+class SceneLayoutError(ValueError):
+    """A shape does not fit in its layout cell at this canvas and patch."""
+
+
 def _aligned_starts(lo: int, hi: int, size: int, patch: int) -> list[int]:
+    if size > hi - lo:
+        raise SceneLayoutError(
+            f"a {size}-pixel square does not fit its {hi - lo}-pixel cell")
     starts = [s for s in range(lo, hi - size + 1) if s % patch == 0]
     return starts or [(lo + hi - size) // 2]
 

@@ -84,9 +84,12 @@ def train(cfg: RunConfig, log_path: str | None = None) -> dict:
 
 
 def load_model(cfg: RunConfig) -> Model:
+    """A checkpoint for inference: every parameter frozen, so no forward
+    records a tape."""
     vocab = Vocab.load(cfg.vocab_file)
     model = Model(cfg, vocab)
     model.load(cfg.checkpoint)
+    model.store.set_trainable(())
     return model
 
 

@@ -77,6 +77,25 @@ def test_causal_future_is_bit_invisible():
     assert not np.array_equal(out_x[4:], out_y[4:])
 
 
+@pytest.mark.parametrize("t0", [1, 4, 6])
+def test_attention_with_past_matches_full_causal_rows(t0):
+    rng = np.random.default_rng(12)
+    store = ParamStore()
+    init_attention(store, "a", 8, rng)
+    x = rng.standard_normal((7, 8))
+    full = attention(Tensor(x), Tensor(x), store, "a", 2, causal=True).data
+    past: dict = {}
+    head = attention(Tensor(x[:t0]), Tensor(x[:t0]), store, "a", 2,
+                     causal=True, past=past)
+    assert past["k"].shape == (2, t0, 4)
+    tail = attention(Tensor(x[t0:]), Tensor(x[t0:]), store, "a", 2,
+                     causal=True, past=past)
+    assert past["k"].shape == past["v"].shape == (2, 7, 4)
+    # fewer rows may take another BLAS kernel: equal up to rounding only
+    assert np.max(np.abs(head.data - full[:t0])) <= 1e-12
+    assert np.max(np.abs(tail.data - full[t0:])) <= 1e-12
+
+
 def test_causal_first_row_attends_only_itself():
     rng = np.random.default_rng(5)
     store = ParamStore()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from seglang import lm
-from seglang.lm import SegState, next_token_loss, sample_greedy, top_k_attribute
+from seglang.lm import DecodeCache, SegState, next_token_loss, top_k_attribute
 from seglang.model import Model
 from seglang.scenes import default_vocab
 from seglang.sequence import InterleavedSequence
@@ -143,10 +143,26 @@ def test_loss_input_validation():
 
 # ---- decoding helpers -------------------------------------------------------
 
-def test_sample_greedy_is_last_row_argmax():
-    vocab, cfg, model, _, seq = toy(0)
-    logits, _ = lm.forward(seq, model.store, cfg)
-    assert sample_greedy(seq, model.store, cfg) == int(np.argmax(logits.data[-1]))
+@pytest.mark.parametrize("seed", [0, 3])
+def test_cached_forward_matches_full_pass(seed):
+    # run a training sequence element by element through one cache
+    vocab, cfg, model, _, seq = toy(seed, n_regions=2)
+    full, full_states = lm.forward(seq, model.store, cfg)
+    cache = DecodeCache(cfg.lm_layers)
+    part = InterleavedSequence(vocab)
+    rows, states = [], []
+    for e in seq.elements:
+        part.elements.append(e)
+        logits, new_states = lm.forward(part, model.store, cfg, cache)
+        assert cache.length == len(part) == sum(len(r) for r in rows) + len(logits.data)
+        rows.append(logits.data)
+        states += new_states
+    assert np.max(np.abs(np.concatenate(rows) - full.data)) <= 1e-12
+    assert [st.position for st in states] == [st.position for st in full_states]
+    for got, want in zip(states, full_states):
+        assert np.max(np.abs(got.hidden.data - want.hidden.data)) <= 1e-12
+    with pytest.raises(ShapeError, match="empty sequence after"):
+        lm.forward(part, model.store, cfg, cache)
 
 
 def test_top_k_attribute_ordering_and_ties():

@@ -1,5 +1,6 @@
 """Synthetic scenes: geometry, unambiguity, file layout, determinism."""
 
+import hashlib
 import json
 import os
 
@@ -7,9 +8,9 @@ import numpy as np
 import pytest
 
 from seglang.scenes import (BACKGROUND, COLOR_RGB, COLOR_WORDS,
-                            LOCATION_WORDS, SHAPE_WORDS, _cells,
-                            default_vocab, generate_scene, load_attr_records,
-                            load_split, make_split)
+                            LOCATION_WORDS, SHAPE_WORDS, SceneLayoutError,
+                            _cells, default_vocab, generate_scene,
+                            load_attr_records, load_split, make_split)
 
 
 def test_scene_masks_are_disjoint_and_in_cell():
@@ -91,6 +92,35 @@ def test_n_objects_bounds():
         generate_scene(0, n_objects=0)
     with pytest.raises(ValueError):
         generate_scene(0, n_objects=6)
+
+
+def test_square_wider_than_its_cell_raises():
+    # canvas 16, patch 8: the side max(2 * patch, canvas // 4) = 16 exceeds
+    # every 5-6 pixel cell, which once rasterized an all-empty mask
+    raised = 0
+    for seed in range(30):
+        try:
+            scene = generate_scene(seed, 2, canvas=16, patch=8)
+        except SceneLayoutError as exc:
+            assert "does not fit" in str(exc)
+            raised += 1
+            continue
+        assert all(o.shape != "square" and o.mask.any() for o in scene.objects)
+    assert raised > 0
+    assert issubclass(SceneLayoutError, ValueError)
+
+
+def test_canvas_64_scenes_are_unchanged():
+    # digest of 60 scenes as rasterized before oversized squares raised
+    h = hashlib.sha256()
+    for seed in range(60):
+        scene = generate_scene(seed, 1 + seed % 3)
+        h.update(scene.image.tobytes())
+        for obj in scene.objects:
+            h.update(obj.mask.tobytes())
+            h.update(f"{obj.color} {obj.shape} {obj.location}".encode())
+    assert h.hexdigest() == \
+        "163dc5a3047bae380195a1be76d85758e632451383356b33aeed67db3366adce"
 
 
 # ---- split files ------------------------------------------------------------

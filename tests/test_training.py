@@ -10,7 +10,8 @@ from seglang.model import Model, STAGE_PREFIXES
 from seglang.scenes import default_vocab
 from seglang.training import (description_positions, eval_attr, eval_refseg,
                               grad_check_suite, load_model, make_toy_config,
-                              make_toy_sample, train, write_refseg_csv)
+                              make_toy_sample, seg_state_for, train,
+                              write_refseg_csv)
 from seglang.vocab import Vocab
 
 
@@ -92,6 +93,17 @@ def test_stage1_moves_only_scheduled_params(tiny_split, tmp_path):
         else:
             assert same, f"{name} should be frozen in stage 1"
     assert moved, "no scheduled parameter moved"
+
+
+def test_load_model_freezes_every_parameter(tiny_split, tmp_path):
+    cfg = stage_cfg(tiny_split, tmp_path, 1, "frozen")
+    Model(cfg, Vocab.load(cfg.vocab_file)).save(str(tmp_path / "init.ckpt"))
+    cfg.checkpoint = str(tmp_path / "init.ckpt")
+    model = load_model(cfg)
+    assert not any(model.store[n].requires_grad for n in model.store.names())
+    image = np.random.default_rng(0).random((cfg.canvas, cfg.canvas, 3))
+    state = seg_state_for(model, image, "the red square")
+    assert not state.hidden.requires_grad    # so it holds no forward tape
 
 
 def test_train_is_bit_deterministic(tiny_split, tmp_path):
