@@ -13,8 +13,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import engine, training
 from .attreval import load_probes, save_probes, build_probes
 from .config import RunConfig
@@ -170,27 +168,11 @@ def cmd_attr_build(args) -> int:
 def cmd_attr_score(args) -> int:
     cfg = _config_from(args)
     model = training.load_model(cfg)
-    probes = load_probes(args.probes)
-    from .attreval import probe_key, score_logits, score_vqa
-    split_dir = os.path.join(cfg.data_dir, args.split)
-    answers = {}
-    seg_states = {}
-    cache: dict[str, np.ndarray] = {}
-    for p in probes:
-        if p.image not in cache:
-            cache[p.image] = to_unit_float(
-                read_ppm(os.path.join(split_dir, p.image)))
-        img = cache[p.image]
-        answers[probe_key(p)] = (
-            training.answer_question(model, img, p.question_pos),
-            training.answer_question(model, img, p.question_neg))
-        seg_states[probe_key(p)] = training.seg_state_for(model, img,
-                                                          p.referring)
-    vqa = score_vqa(probes, answers)
-    acc1, acc3 = score_logits(probes, seg_states, model.vocab)
-    payload = {"vqa_acc": vqa, "acc1": acc1, "acc3": acc3, "n": len(probes)}
+    payload = training.score_probes(model, load_probes(args.probes),
+                                    os.path.join(cfg.data_dir, args.split))
     _write_report(cfg, "report_attr.json", payload)
-    print(f"vqa {vqa:.4f}  acc1 {acc1:.4f}  acc3 {acc3:.4f}")
+    print(f"vqa {payload['vqa_acc']:.4f}  acc1 {payload['acc1']:.4f}  "
+          f"acc3 {payload['acc3']:.4f}")
     return 0
 
 

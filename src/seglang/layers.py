@@ -34,16 +34,10 @@ def init_attention(store: ParamStore, prefix: str, d: int,
 
 
 def init_mlp(store: ParamStore, prefix: str, d: int, d_hidden: int,
-             rng: np.random.Generator) -> None:
+             rng: np.random.Generator, d_out: int | None = None) -> None:
+    """Two-layer MLP d -> d_hidden -> d_out (d_out defaults to d)."""
     init_linear(store, f"{prefix}.fc1", d, d_hidden, rng)
-    init_linear(store, f"{prefix}.fc2", d_hidden, d, rng)
-
-
-def init_proj_mlp(store: ParamStore, prefix: str, d_in: int, d_out: int,
-                  rng: np.random.Generator) -> None:
-    """Width-changing two-layer projection: d_in -> d_out -> d_out."""
-    init_linear(store, f"{prefix}.fc1", d_in, d_out, rng)
-    init_linear(store, f"{prefix}.fc2", d_out, d_out, rng)
+    init_linear(store, f"{prefix}.fc2", d_hidden, d_out or d, rng)
 
 
 def init_block(store: ParamStore, prefix: str, d: int,

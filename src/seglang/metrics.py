@@ -31,31 +31,31 @@ class MetricReport:
                 "per_sample_iou": self.per_sample_iou}
 
 
-def iou(pred: np.ndarray, gt: np.ndarray) -> float:
-    """|pred ∩ gt| / |pred ∪ gt|; both empty counts as a perfect 1.0."""
+def _counts(pred: np.ndarray, gt: np.ndarray) -> tuple[int, int]:
+    """(|pred ∩ gt|, |pred ∪ gt|) in pixels."""
     pred = np.asarray(pred, dtype=bool)
     gt = np.asarray(gt, dtype=bool)
     if pred.shape != gt.shape:
         raise ShapeError(f"iou: pred {pred.shape} vs gt {gt.shape}")
-    union = int(np.logical_or(pred, gt).sum())
-    if union == 0:
-        return 1.0
-    return int(np.logical_and(pred, gt).sum()) / union
+    return int(np.logical_and(pred, gt).sum()), int(np.logical_or(pred, gt).sum())
+
+
+def _ratio(inter: int, union: int) -> float:
+    return inter / union if union > 0 else 1.0  # both empty is a perfect 1.0
+
+
+def iou(pred: np.ndarray, gt: np.ndarray) -> float:
+    """|pred ∩ gt| / |pred ∪ gt|; both empty counts as a perfect 1.0."""
+    return _ratio(*_counts(pred, gt))
 
 
 def aggregate(pairs: list[tuple[np.ndarray, np.ndarray]]) -> MetricReport:
     if not pairs:
         raise ValueError("aggregate: empty sample list")
-    per_sample = [iou(p, g) for p, g in pairs]
-    inter = 0
-    union = 0
-    for p, g in pairs:
-        p = np.asarray(p, dtype=bool)
-        g = np.asarray(g, dtype=bool)
-        inter += int(np.logical_and(p, g).sum())
-        union += int(np.logical_or(p, g).sum())
-    ciou = inter / union if union > 0 else 1.0
+    counts = [_counts(p, g) for p, g in pairs]
+    per_sample = [_ratio(i, u) for i, u in counts]
+    inter, union = map(sum, zip(*counts))
     giou = float(np.mean(per_sample))
-    return MetricReport(per_sample_iou=per_sample, ciou=ciou, giou=giou,
-                        miou=giou, n=len(pairs), total_intersection=inter,
-                        total_union=union)
+    return MetricReport(per_sample_iou=per_sample, ciou=_ratio(inter, union),
+                        giou=giou, miou=giou, n=len(pairs),
+                        total_intersection=inter, total_union=union)

@@ -10,13 +10,19 @@ go through the semantic branch only.
 
 from __future__ import annotations
 
+import hashlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import layers
 from .store import ParamStore
-from .tensor import Tensor, ShapeError, add, concat, gelu, layer_norm
+from .tensor import Tensor, ShapeError, add, concat, layer_norm
+
+
+class EncoderNotFrozenError(RuntimeError):
+    """Raised when the encoder memo is opened while an encoder trains."""
 
 
 @dataclass
@@ -57,8 +63,14 @@ def init_encoder(store: ParamStore, prefix: str, d_enc: int, patch: int,
 
 def encode(img: np.ndarray, store: ParamStore, prefix: str, patch: int,
            n_blocks: int, n_heads: int) -> FeatureGrid:
-    """Run one encoder branch: patch embed + positions + blocks + final norm."""
+    """Run one encoder branch: patch embed + positions + blocks + final norm.
+    Inside `frozen_encoder_memo`, a repeated input returns the stored output."""
     img = check_image(img, patch)
+    memo = store.encoder_memo
+    if memo is not None:
+        key = (prefix, img.shape, hashlib.blake2b(img.tobytes()).digest())
+        if key in memo:
+            return memo[key]
     gh, gw = img.shape[0] // patch, img.shape[1] // patch
     flat = layers.patchify(img, patch)
     x = layers.linear(Tensor(flat), store, f"{prefix}.patch")
@@ -69,7 +81,26 @@ def encode(img: np.ndarray, store: ParamStore, prefix: str, patch: int,
     x = add(x, pos[0:gh * gw])
     for i in range(n_blocks):
         x = layers.block(x, store, f"{prefix}.blk{i}", n_heads)
-    return FeatureGrid(layer_norm(x), grid=(gh, gw))
+    out = FeatureGrid(layer_norm(x), grid=(gh, gw))
+    if memo is not None:
+        memo[key] = out
+    return out
+
+
+@contextmanager
+def frozen_encoder_memo(store: ParamStore):
+    """Encode each distinct (branch, shape, pixels) once within the scope; only
+    frozen encoders qualify. Exit, `set_trainable` and `load` drop the memo."""
+    trainable = [n for n, p in store.params.items()
+                 if n.startswith(("sem_enc.", "pix_enc.")) and p.requires_grad]
+    if trainable:
+        raise EncoderNotFrozenError(
+            f"encoder memo needs frozen encoders; trainable: {trainable[:3]}")
+    store.encoder_memo = {}
+    try:
+        yield
+    finally:
+        store.encoder_memo = None
 
 
 def encode_semantic(img, store: ParamStore, cfg) -> FeatureGrid:
@@ -86,30 +117,21 @@ def init_sefe(store: ParamStore, cfg, rng: np.random.Generator) -> None:
                  cfg.enc_blocks, rng)
     init_encoder(store, "pix_enc", cfg.d_pix, cfg.patch, max_tokens,
                  cfg.enc_blocks, rng)
-    layers.init_proj_mlp(store, "mlp_s", cfg.d_sem, cfg.d_model, rng)
-    layers.init_proj_mlp(store, "mlp_p", cfg.d_pix, cfg.d_model, rng)
+    layers.init_mlp(store, "mlp_s", cfg.d_sem, cfg.d_model, rng, cfg.d_model)
+    layers.init_mlp(store, "mlp_p", cfg.d_pix, cfg.d_model, rng, cfg.d_model)
     # zero output projection: fusion starts as the identity on f_s
     layers.init_attention(store, "mhca", cfg.d_model, rng, zero_out_proj=True)
 
 
-def _mlp_project(f: FeatureGrid, store: ParamStore, prefix: str) -> FeatureGrid:
-    h = layers.linear(f.values, store, f"{prefix}.fc1")
-    out = layers.linear(gelu(h), store, f"{prefix}.fc2")
-    return FeatureGrid(out, grid=f.grid)
-
-
 def project(f: FeatureGrid, which: str, store: ParamStore) -> FeatureGrid:
     """Map branch features to the common model width via the branch MLP."""
-    if which == "semantic":
-        prefix = "mlp_s"
-    elif which == "pixel":
-        prefix = "mlp_p"
-    else:
+    prefix = {"semantic": "mlp_s", "pixel": "mlp_p"}.get(which)
+    if prefix is None:
         raise ValueError(f"project: unknown branch {which!r}")
     want = store[f"{prefix}.fc1.w"].shape[0]
     if f.dim != want:
         raise ShapeError(f"project[{which}]: width {f.dim}, MLP expects {want}")
-    return _mlp_project(f, store, prefix)
+    return FeatureGrid(layers.mlp_gelu(f.values, store, prefix), grid=f.grid)
 
 
 def fuse(f_s: FeatureGrid, f_p: FeatureGrid, store: ParamStore, n_heads: int,

@@ -24,6 +24,7 @@ class ParamStore:
         self._adam_m: dict[str, np.ndarray] = {}
         self._adam_v: dict[str, np.ndarray] = {}
         self._adam_t = 0
+        self.encoder_memo: dict | None = None  # sefe.frozen_encoder_memo
 
     def add(self, name: str, tensor: Tensor) -> Tensor:
         if name in self.params:
@@ -49,6 +50,7 @@ class ParamStore:
         Every other parameter gets requires_grad=False so the tape never
         reaches it. Returns the trainable names, in insertion order.
         """
+        self.encoder_memo = None  # an encoder may train now
         chosen = []
         for name, p in self.params.items():
             on = any(name.startswith(pre) for pre in prefixes)
@@ -143,6 +145,7 @@ class ParamStore:
         step counter are restored too; otherwise Adam restarts fresh.
         Momentum buffers for plain SGD stay process-local either way.
         """
+        self.encoder_memo = None  # memoized encoder outputs would be stale
         with open(path, "rb") as f:
             magic = f.read(len(_CKPT_MAGIC))
             if magic != _CKPT_MAGIC:

@@ -376,7 +376,7 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 def gelu(a: Tensor) -> Tensor:
     a = _wrap(a)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x ** 3)
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))  # float pow is ~100x slower
     t = np.tanh(inner)
     out_data = 0.5 * x * (1.0 + t)
 

@@ -16,9 +16,10 @@ import time
 
 import numpy as np
 
-from . import conformance, engine, lm, maskdec, metrics
+from . import conformance, engine, lm, maskdec, metrics, sefe
 from .attreval import build_probes, probe_key, score_logits, score_vqa
 from .config import RunConfig
+from .images import read_ppm, to_unit_float
 from .model import ALL_PREFIXES, Model
 from .scenes import Sample, default_vocab, load_attr_records, load_split
 from .sequence import FeatureBlock, TextToken, build_inference_prefix
@@ -56,7 +57,8 @@ def train(cfg: RunConfig, log_path: str | None = None) -> dict:
 
     scale = 1.0 / cfg.batch
     t0 = time.time()
-    with open(log_path, "w", encoding="utf-8") as log:
+    with sefe.frozen_encoder_memo(model.store), \
+            open(log_path, "w", encoding="utf-8") as log:
         for step in range(cfg.steps):
             model.store.zero_grad()
             ids = []
@@ -138,7 +140,8 @@ def eval_refseg(model: Model, data_dir: str, ilvc_enabled: bool,
         rows.append({"sample": s.sample_id, "iou": metrics.iou(pred, gt),
                      "n_masks": len(result.masks),
                      "protocol_error": result.protocol_error,
-                     "truncated": result.truncated})
+                     "truncated": result.truncated,
+                     "end_reason": result.end_reason})
     report = metrics.aggregate(pairs)
 
     interleaved = [s for s in samples if s.task == "refseg" and s.ilvc]
@@ -162,7 +165,8 @@ def write_refseg_csv(rows: list[dict], path: str) -> None:
     import csv
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.DictWriter(f, fieldnames=["sample", "iou", "n_masks",
-                                               "protocol_error", "truncated"])
+                                               "protocol_error", "truncated",
+                                               "end_reason"])
         writer.writeheader()
         writer.writerows(rows)
 
@@ -194,21 +198,15 @@ def seg_state_for(model: Model, image: np.ndarray, referring: str):
     return seg_states[0]
 
 
-def eval_attr(model: Model, data_dir: str, seed: int) -> dict:
-    """Build probes from the eval records and score VQA + logit ranking."""
-    from .images import read_ppm, to_unit_float
-    records = load_attr_records(os.path.join(data_dir, "eval"))
-    probes = build_probes(records, model.vocab, seed)
-    if not probes:
-        raise RuntimeError("no probes could be built from the eval records")
-    eval_dir = os.path.join(data_dir, "eval")
+def score_probes(model: Model, probes: list, split_dir: str) -> dict:
+    """AttrEval report: VQA answers + seg-state logit ranking per probe."""
     answers = {}
     seg_states = {}
     image_cache: dict[str, np.ndarray] = {}
     for p in probes:
         if p.image not in image_cache:
             image_cache[p.image] = to_unit_float(
-                read_ppm(os.path.join(eval_dir, p.image)))
+                read_ppm(os.path.join(split_dir, p.image)))
         img = image_cache[p.image]
         answers[probe_key(p)] = (answer_question(model, img, p.question_pos),
                                  answer_question(model, img, p.question_neg))
@@ -216,6 +214,15 @@ def eval_attr(model: Model, data_dir: str, seed: int) -> dict:
     vqa = score_vqa(probes, answers)
     acc1, acc3 = score_logits(probes, seg_states, model.vocab)
     return {"vqa_acc": vqa, "acc1": acc1, "acc3": acc3, "n": len(probes)}
+
+
+def eval_attr(model: Model, data_dir: str, seed: int) -> dict:
+    """Build probes from the eval records and score VQA + logit ranking."""
+    eval_dir = os.path.join(data_dir, "eval")
+    probes = build_probes(load_attr_records(eval_dir), model.vocab, seed)
+    if not probes:
+        raise RuntimeError("no probes could be built from the eval records")
+    return score_probes(model, probes, eval_dir)
 
 
 # ---- gradient-fidelity suite -----------------------------------------------

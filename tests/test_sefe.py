@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
+from seglang import layers
 from seglang.model import Model
 from seglang.scenes import default_vocab
-from seglang.sefe import (FeatureGrid, check_image, encode_local,
-                          encode_pixel, encode_semantic, fuse, init_sefe,
-                          project, sefe_forward)
+from seglang.sefe import (EncoderNotFrozenError, FeatureGrid, check_image,
+                          encode_local, encode_pixel, encode_semantic,
+                          frozen_encoder_memo, fuse, init_sefe, project,
+                          sefe_forward)
 from seglang.store import ParamStore
 from seglang.tensor import ShapeError, Tensor
-from seglang.training import make_toy_config
+from seglang.training import make_toy_config, make_toy_sample
 
 
 def fresh(seed=0):
@@ -154,3 +156,76 @@ def test_model_init_is_seed_deterministic():
     assert m1.store.names() == m2.store.names()
     for name in m1.store.names():
         assert np.array_equal(m1.store[name].data, m2.store[name].data), name
+
+
+# ---- frozen-encoder memo ---------------------------------------------------
+
+def stage2_toy(seed=4):
+    vocab = default_vocab()
+    cfg = make_toy_config(seed)
+    rng = np.random.default_rng(seed)
+    model = Model(cfg, vocab, rng)
+    model.configure_trainable(2)
+    sample = make_toy_sample(cfg, rng, vocab, n_regions=2, ilvc=True,
+                             with_response=True)
+    return model, sample
+
+
+def loss_and_grads(model, sample):
+    model.store.zero_grad()
+    report = model.sample_loss(sample)
+    report.total.backward()
+    return report.total.data.copy(), {
+        n: model.store[n].grad.copy() for n in model.store.names()
+        if model.store[n].requires_grad and model.store[n].grad is not None}
+
+
+def test_memo_serves_bit_identical_loss_and_grads(monkeypatch):
+    model, sample = stage2_toy()
+    want_loss, want_grads = loss_and_grads(model, sample)
+    assert want_grads
+    patchified = []
+    real = layers.patchify
+    monkeypatch.setattr(layers, "patchify",
+                        lambda img, patch: patchified.append(1) or real(img, patch))
+    with frozen_encoder_memo(model.store):
+        loss_and_grads(model, sample)
+        misses = len(patchified)
+        assert misses == len(model.store.encoder_memo) >= 4  # 2 branches + crops
+        loss, grads = loss_and_grads(model, sample)
+        assert len(patchified) == misses          # every encode was served
+    assert model.store.encoder_memo is None
+    assert np.array_equal(loss, want_loss)
+    assert grads.keys() == want_grads.keys()
+    for name, g in grads.items():
+        assert np.array_equal(g, want_grads[name]), name
+
+
+def test_memo_refuses_trainable_encoder():
+    model, _ = stage2_toy()
+    model.store.set_trainable(("sem_enc.", "lm."))
+    with pytest.raises(EncoderNotFrozenError, match="sem_enc"):
+        with frozen_encoder_memo(model.store):
+            pass
+    assert model.store.encoder_memo is None
+
+
+def test_memo_dropped_on_exception_set_trainable_and_load(tmp_path):
+    model, sample = stage2_toy()
+    path = str(tmp_path / "m.ckpt")
+    model.save(path)
+    with pytest.raises(KeyError):
+        with frozen_encoder_memo(model.store):
+            model.encode_image(sample.image)
+            raise KeyError("boom")
+    assert model.store.encoder_memo is None
+    with frozen_encoder_memo(model.store):
+        model.encode_image(sample.image)
+        model.store.set_trainable(("sem_enc.",))
+        assert model.store.encoder_memo is None
+        assert model.encode_image(sample.image)[0].values.requires_grad
+    model.configure_trainable(2)
+    with frozen_encoder_memo(model.store):
+        model.encode_image(sample.image)
+        model.load(path)
+        assert model.store.encoder_memo is None

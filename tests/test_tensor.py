@@ -196,6 +196,16 @@ def test_nonlinearity_grads():
     check_op(lambda a: T.clip(a, -0.5, 0.5), [x.copy()])
 
 
+def test_gelu_matches_power_closed_form():
+    # the cube is computed as x * x * x, not with numpy's float pow. The
+    # error is measured relative to |x|: for x << 0, 1 + tanh cancels and
+    # one-ulp differences in tanh grow to ~1e-13 relative to gelu(x) itself.
+    x = np.random.default_rng(21).standard_normal((163, 256))
+    want = 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi)
+                                    * (x + 0.044715 * np.power(x, 3))))
+    assert np.all(np.abs(T.gelu(Tensor(x)).data - want) <= 1e-13 * np.abs(x))
+
+
 def test_gather_grads():
     rng = np.random.default_rng(16)
     table = rng.standard_normal((7, 3))

@@ -114,6 +114,29 @@ def test_train_is_bit_deterministic(tiny_split, tmp_path):
     assert open(cfg1.checkpoint, "rb").read() == open(cfg2.checkpoint, "rb").read()
 
 
+def test_train_leaves_no_encoder_memo(tiny_split, tmp_path, monkeypatch):
+    import seglang.training as training
+    models = []
+
+    class Probe(Model):
+        def __init__(self, *args):
+            super().__init__(*args)
+            models.append(self)
+
+        def sample_loss(self, sample):
+            assert self.store.encoder_memo is not None    # inside the scope
+            if len(models) == 2 and self.store.encoder_memo:
+                raise RuntimeError("stop")               # mid-run, memo filled
+            return super().sample_loss(sample)
+
+    monkeypatch.setattr(training, "Model", Probe)
+    train(stage_cfg(tiny_split, tmp_path, 2, "memo"))
+    assert models[0].store.encoder_memo is None
+    with pytest.raises(RuntimeError, match="stop"):
+        train(stage_cfg(tiny_split, tmp_path, 2, "memo_raise"))
+    assert models[1].store.encoder_memo is None
+
+
 def test_stage2_warm_starts_from_checkpoint(tiny_split, tmp_path):
     cfg1 = stage_cfg(tiny_split, tmp_path, 1, "w1")
     train(cfg1)
@@ -154,6 +177,8 @@ def test_eval_refseg_smoke(tiny_split):
     rep = eval_refseg(model, tiny_split, ilvc_enabled=True, max_steps=10)
     assert rep["n_samples"] >= 1
     assert len(rep["rows"]) == rep["n_samples"]
+    assert {r["end_reason"] for r in rep["rows"]} <= {
+        "eos", "max_steps", "context_full", "protocol_error"}
     assert 0.0 <= rep["metrics"]["giou"] <= 1.0
     assert rep["desc_tokens"] > 0
     assert 0.0 <= rep["desc_token_acc"] <= 1.0
@@ -161,12 +186,12 @@ def test_eval_refseg_smoke(tiny_split):
 
 def test_write_refseg_csv(tmp_path):
     rows = [{"sample": "s0", "iou": 0.5, "n_masks": 1,
-             "protocol_error": "", "truncated": False}]
+             "protocol_error": "", "truncated": False, "end_reason": "eos"}]
     path = str(tmp_path / "refseg.csv")
     write_refseg_csv(rows, path)
     lines = open(path, encoding="utf-8").read().splitlines()
-    assert lines[0] == "sample,iou,n_masks,protocol_error,truncated"
-    assert lines[1].startswith("s0,0.5,1")
+    assert lines[0] == "sample,iou,n_masks,protocol_error,truncated,end_reason"
+    assert lines[1].startswith("s0,0.5,1") and lines[1].endswith(",eos")
 
 
 def test_eval_attr_smoke(tiny_split):
