@@ -1,9 +1,8 @@
 """Command-line surface.
 
-Subcommands: gen-data, train, eval, generate, grad-check, attr-build,
-attr-score. A JSON config file seeds every run; long-form flags override
-individual fields. Exit code 0 means the report/outputs were written and no
-protocol error occurred.
+Subcommands: gen-data, train, eval, generate, attr-build, attr-score. A JSON
+config file seeds every run; long-form flags override individual fields. Exit
+code 0 means the report/outputs were written and no protocol error occurred.
 """
 
 from __future__ import annotations
@@ -145,17 +144,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_grad_check(args) -> int:
-    reports = training.grad_check_suite(args.n_configs, args.sample_per_param,
-                                        args.seed)
-    worst = max(r["max_rel_err"] for r in reports)
-    for r in reports:
-        print(f"config {r['config']:2d}: max rel err {r['max_rel_err']:.3e} "
-              f"({r['checked']} coords)")
-    print(f"worst {worst:.3e}")
-    return 0 if worst < 1e-4 else 1
-
-
 def cmd_attr_build(args) -> int:
     records = load_attr_records(os.path.join(args.data_dir, args.split))
     vocab = Vocab.load(args.vocab or os.path.join(args.data_dir, "vocab.txt"))
@@ -211,12 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--text", default="", help="instruction content")
     _add_config_flags(p)
     p.set_defaults(fn=cmd_generate)
-
-    p = sub.add_parser("grad-check", help="finite-difference gradient suite")
-    p.add_argument("--n-configs", type=int, default=20)
-    p.add_argument("--sample-per-param", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=cmd_grad_check)
 
     p = sub.add_parser("attr-build", help="build attribute probes")
     p.add_argument("--data-dir", required=True)

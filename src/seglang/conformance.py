@@ -12,34 +12,39 @@ from __future__ import annotations
 
 def reference_events(script: list[int], seg_id: int, image_id: int,
                      eos_id: int, ilvc_enabled: bool,
-                     masks_decode_nonempty: bool) -> list[tuple]:
+                     masks_decode_nonempty: bool, prefix_rows: int = 0,
+                     max_seq: int | None = None, crop_rows: int = 0) -> list[tuple]:
     """Expected (kind, ...) event list for a scripted token stream.
 
     Events: ("TEXT", token) | ("SEG",) | ("CROP",) | ("EOS",)
     | ("ERROR", reason). The stream ends at EOS, at a protocol error, or
-    when tokens run out (truncation).
+    when tokens run out (truncation). Given `max_seq`, a token whose rows do
+    not fit ends the stream unemitted: the context starts at `prefix_rows`,
+    a text or seg token takes one row and a crop one plus `crop_rows`.
     """
     events: list[tuple] = []
     have_mask = False
+    rows = prefix_rows
     for token in script:
         token = int(token)
         if token == eos_id:
             events.append(("EOS",))
             break
+        crop = token == image_id and ilvc_enabled
+        if crop and not have_mask:
+            events.append(("ERROR", "m_current_null"))
+            break
+        if crop and not masks_decode_nonempty:
+            events.append(("ERROR", "empty_mask"))
+            break
+        rows += 1 + (crop_rows if crop else 0)
+        if max_seq is not None and rows > max_seq:
+            break
         if token == seg_id:
             events.append(("SEG",))
             have_mask = True
-            continue
-        if token == image_id and ilvc_enabled:
-            if not have_mask:
-                events.append(("ERROR", "m_current_null"))
-                break
-            if not masks_decode_nonempty:
-                events.append(("ERROR", "empty_mask"))
-                break
-            events.append(("CROP",))
-            continue
-        events.append(("TEXT", token))
+        else:
+            events.append(("CROP",) if crop else ("TEXT", token))
     return events
 
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .store import ParamStore
-from .tensor import (Tensor, ShapeError, add, concat, gelu, layer_norm, matmul,
-                     mul, randn, reshape, softmax, tensor, transpose, zeros)
+from .tensor import (Tensor, ShapeError, add, affine, attend, concat, gelu,
+                     layer_norm, randn, reshape, tensor, transpose, zeros)
 
 NEG_INF = -1e9  # additive mask value; exp underflows to exactly 0.0
 
@@ -49,7 +49,7 @@ def init_block(store: ParamStore, prefix: str, d: int,
 # ---- forward pieces --------------------------------------------------------
 
 def linear(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
-    return add(matmul(x, store[f"{prefix}.w"]), store[f"{prefix}.b"])
+    return affine(x, store[f"{prefix}.w"], store[f"{prefix}.b"])
 
 
 def mlp_gelu(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
@@ -92,15 +92,12 @@ def attention(q_in: Tensor, kv_in: Tensor, store: ParamStore, prefix: str,
             k = concat([tensor(past["k"]), k], axis=1)
             v = concat([tensor(past["v"]), v], axis=1)
         past["k"], past["v"] = k.data, v.data
-    scores = mul(matmul(q, transpose(k, (0, 2, 1))), 1.0 / np.sqrt(d // n_heads))
-    if causal:
-        t_q, t_k = q.shape[1], k.shape[1]
-        mask = np.triu(np.full((t_q, t_k), NEG_INF), k=1 + t_k - t_q)
-        scores = add(scores, tensor(mask[None, :, :]))
-    weights = softmax(scores, axis=-1)
-    out = linear(merge_heads(matmul(weights, v)), store, f"{prefix}.o")
+    mask = np.triu(np.full((q.shape[1], k.shape[1]), NEG_INF),
+                   k=1 + k.shape[1] - q.shape[1]) if causal else None
+    heads, weights = attend(q, k, v, 1.0 / np.sqrt(d // n_heads), mask)
+    out = linear(merge_heads(heads), store, f"{prefix}.o")
     if return_attn:
-        return out, weights.data.copy()
+        return out, weights.copy()
     return out
 
 

@@ -56,8 +56,9 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            self.grad = np.array(grad, dtype=np.float64, order="C")
+        else:
+            self.grad += grad
 
     def backward(self) -> None:
         """Run reverse-mode accumulation from this scalar.
@@ -233,6 +234,53 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), backward)
 
 
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one tape node (x: N x D_in, w: D_in x D_out, b: D_out)."""
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] \
+            or b.shape != (w.shape[1],):
+        raise ShapeError(f"affine: shapes {x.shape} @ {w.shape} + {b.shape}")
+    out_data = np.matmul(x.data, w.data) + b.data
+
+    def backward(g):
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.shape))
+        if x.requires_grad:
+            x._accumulate(np.matmul(g, w.data.swapaxes(-1, -2)))
+        if w.requires_grad:
+            w._accumulate(np.matmul(x.data.swapaxes(-1, -2), g))
+
+    return _make(out_data, (x, w, b), backward)
+
+
+def attend(q: Tensor, k: Tensor, v: Tensor, scale: float,
+           mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+    """softmax(q @ kᵀ * scale + mask) @ v as one tape node -> (out, weights).
+
+    q: H x T_q x d, k and v: H x T_k x d. Values and gradients match the
+    unfused op chain bit for bit, but no T_q x T_k array stays on the tape."""
+    if q.ndim != 3 or k.shape != v.shape or k.ndim != 3 \
+            or q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]:
+        raise ShapeError(f"attend: q {q.shape}, k {k.shape}, v {v.shape}")
+    kt = np.ascontiguousarray(np.transpose(k.data, (0, 2, 1)))
+    scores = np.matmul(q.data, kt) * scale
+    scores = scores if mask is None else scores + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    out_data = np.matmul(weights, v.data)
+
+    def backward(g):
+        gy = np.matmul(g, v.data.swapaxes(-1, -2)) * weights
+        if v.requires_grad:
+            v._accumulate(np.matmul(weights.swapaxes(-1, -2), g))
+        gs = (gy - weights * gy.sum(axis=-1, keepdims=True)) * scale
+        if q.requires_grad:
+            q._accumulate(np.matmul(gs, kt.swapaxes(-1, -2)))
+        if k.requires_grad:
+            k._accumulate(np.matmul(q.data.swapaxes(-1, -2), gs).swapaxes(1, 2))
+
+    return _make(out_data, (q, k, v), backward), weights
+
+
 def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
     a = _wrap(a)
     out_data = np.ascontiguousarray(np.transpose(a.data, axes))
@@ -293,9 +341,9 @@ def tslice(a: Tensor, key) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            full = np.zeros_like(a.data)
-            full[key] += g
-            a._accumulate(full)
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            a.grad[key] += g
 
     return _make(np.asarray(out_data), (a,), backward)
 

@@ -293,7 +293,7 @@ def grad_check_suite(n_configs: int = 20, sample_per_param: int = 2,
 def conformance_suite(n_streams: int = 50, seed: int = 0) -> dict:
     """Engine traces vs the reference interpreter over random scripted
     streams, covering both mask-emptiness regimes, both interleaving modes,
-    the null-mask and empty-mask error paths, and truncation."""
+    the null-mask and empty-mask error paths, truncation and a full context."""
     vocab = default_vocab()
     cfg = make_toy_config(seed)
     rng = np.random.default_rng(seed)
@@ -306,6 +306,11 @@ def conformance_suite(n_streams: int = 50, seed: int = 0) -> dict:
     image = rng.random((cfg.canvas, cfg.canvas, 3))
     words = [i for i in range(len(vocab)) if i > vocab.p_close]
     seg, mark, eos = vocab.seg, vocab.image_id, vocab.eos
+    instruction = [words[0]]
+    f_g, _ = model.encode_image(image)
+    f_l = sefe.encode_local(image[:cfg.local_res, :cfg.local_res], model.store, cfg)
+    budget = dict(max_seq=cfg.max_seq, crop_rows=f_l.tokens,
+                  prefix_rows=f_g.tokens + len(instruction))
     failures = []
     coverage: set[str] = set()
     # (script, ilvc_enabled, masks_decode_nonempty); every protocol branch
@@ -317,6 +322,8 @@ def conformance_suite(n_streams: int = 50, seed: int = 0) -> dict:
         ([eos], True, True),
         ([seg, seg, mark, mark, words[1], eos], True, True),
         ([words[0], words[1]], True, True),               # truncation
+        # fills the context; at the toy shapes the refused token is a crop
+        ([words[1]] + [seg, mark, words[0]] * cfg.max_seq, True, True),
     ]
     for i in range(n_streams):
         if i < len(fixed):
@@ -338,17 +345,18 @@ def conformance_suite(n_streams: int = 50, seed: int = 0) -> dict:
             ilvc_enabled = bool(rng.integers(2))
             nonempty = bool(rng.integers(2))
         model.store["segproj.bias"].data = np.asarray(3.0 if nonempty else -3.0)
-        result = engine.run_scripted(model, image, [words[0]], script,
+        result = engine.run_scripted(model, image, instruction, script,
                                      ilvc_enabled)
         got = conformance.project_trace(result.trace)
         want = conformance.reference_events(
             script, seg, mark, eos, ilvc_enabled,
-            masks_decode_nonempty=nonempty)
+            masks_decode_nonempty=nonempty, **budget)
         ok = got == want
         for e in got:
             coverage.add(e[0] if e[0] != "ERROR" else f"ERROR:{e[1]}")
         if result.truncated:
             coverage.add("TRUNCATED")
+        coverage.add(f"END:{result.end_reason}")
         n_seg = sum(1 for e in got if e[0] == "SEG")
         n_crop = sum(1 for e in got if e[0] == "CROP")
         if len(result.masks) != n_seg:

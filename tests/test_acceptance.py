@@ -165,7 +165,7 @@ def test_criterion_04_generation_conformance():
     report = conformance_suite(n_streams=50, seed=0)
     covered = set(report["coverage"])
     need = {"SEG", "CROP", "TEXT", "EOS", "ERROR:m_current_null",
-            "ERROR:empty_mask", "TRUNCATED"}
+            "ERROR:empty_mask", "TRUNCATED", "END:context_full"}
     ok = report["agreements"] == 50 and need <= covered
     announce(4, ok, f"{report['agreements']}/50 traces agree; coverage "
                     f"{sorted(covered)}")

@@ -211,16 +211,18 @@ def test_context_full_ends_the_episode(rig, kind):
     assert result.end_reason == "context_full"
     assert result.truncated and result.protocol_error is None
     consumed = script[:len(result.trace)]
-    assert project_trace(result.trace) == reference_events(
-        consumed, vocab.seg, vocab.image_id, vocab.eos, True, True)
     assert result.output_tokens == consumed
-    # the context holds every consumed token; the next one does not fit
     cfg = model.cfg
     f_g, _ = model.encode_image(image)
     local = encode_local(np.zeros((cfg.local_res, cfg.local_res, 3)),
                          model.store, cfg).tokens
-    rows = len(build_inference_prefix(f_g, words, vocab)) + len(consumed) \
-        + local * consumed.count(vocab.image_id)
+    prefix = len(build_inference_prefix(f_g, words, vocab))
+    # the interpreter, given the budget, stops the whole script at the same token
+    assert project_trace(result.trace) == reference_events(
+        script, vocab.seg, vocab.image_id, vocab.eos, True, True,
+        prefix_rows=prefix, max_seq=cfg.max_seq, crop_rows=local)
+    # the context holds every consumed token; the next one does not fit
+    rows = prefix + len(consumed) + local * consumed.count(vocab.image_id)
     refused = script[len(consumed)]
     assert refused == {"text": words[1], "seg": vocab.seg,
                        "crop": vocab.image_id}[kind]
@@ -336,6 +338,16 @@ def test_reference_interpreter_hand_cases():
     assert reference_events([W, W], SEG, IMG, EOS, True, True) \
         == [("TEXT", W), ("TEXT", W)]
     assert reference_events([EOS, W], SEG, IMG, EOS, True, True) == [("EOS",)]
+    # context budget: 5 prefix rows of 9; a crop takes 1 + 2 rows, EOS none
+    fit = dict(prefix_rows=5, max_seq=9, crop_rows=2)
+    assert reference_events([SEG, IMG, W, W, EOS], SEG, IMG, EOS, True, True,
+                            **fit) == [("SEG",), ("CROP",)]
+    assert reference_events([W, SEG, IMG], SEG, IMG, EOS, True, True,
+                            **fit) == [("TEXT", W), ("SEG",)]
+    assert reference_events([W] * 4 + [EOS], SEG, IMG, EOS, True, True,
+                            **fit) == [("TEXT", W)] * 4 + [("EOS",)]
+    assert reference_events([W] * 4 + [IMG], SEG, IMG, EOS, True, True,
+                            **fit)[-1] == ("ERROR", "m_current_null")
 
 
 def test_project_trace_rejects_unknown_kinds():

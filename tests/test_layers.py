@@ -1,13 +1,48 @@
-"""Building blocks: linear, attention (hand oracle), causal masking, patchify."""
+"""Building blocks: linear, attention (hand oracle), causal masking, patchify.
+
+The fused tape ops `affine` and `attend` are checked bit for bit, forward and
+backward, against the unfused op chains they replace, kept here as oracles.
+"""
 
 import numpy as np
 import pytest
 
-from seglang.layers import (attention, block, init_attention, init_block,
-                            init_linear, init_mlp, linear, merge_heads,
-                            mlp_gelu, patchify, split_heads)
+from seglang import layers
+from seglang.layers import (NEG_INF, attention, block, init_attention,
+                            init_block, init_linear, init_mlp, linear,
+                            merge_heads, mlp_gelu, patchify, split_heads)
+from seglang import tensor as T
 from seglang.store import ParamStore
 from seglang.tensor import ShapeError, Tensor
+
+
+def unfused_affine(x, w, b):
+    return T.add(T.matmul(x, w), b)
+
+
+def unfused_attend(q, k, v, scale, mask=None):
+    scores = T.mul(T.matmul(q, T.transpose(k, (0, 2, 1))), scale)
+    if mask is not None:
+        scores = T.add(scores, Tensor(mask[None, :, :]))
+    weights = T.softmax(scores, axis=-1)
+    return T.matmul(weights, v), weights.data
+
+
+def run_with_grads(op, arrays, seed):
+    """op(*leaves) -> (out, extra); backward of a weighted sum of out."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out, extra = op(*leaves)
+    w = np.random.default_rng(seed).standard_normal(out.shape)
+    T.tsum(out * Tensor(w)).backward()
+    return out.data, extra, [leaf.grad for leaf in leaves]
+
+
+def assert_bit_equal(fused, unfused):
+    (out_a, extra_a, grads_a), (out_b, extra_b, grads_b) = fused, unfused
+    assert np.array_equal(out_a, out_b)
+    assert np.array_equal(extra_a, extra_b)
+    for ga, gb in zip(grads_a, grads_b):
+        assert ga.shape == gb.shape and np.array_equal(ga, gb)
 
 
 def test_linear_matches_manual():
@@ -18,6 +53,61 @@ def test_linear_matches_manual():
     got = linear(Tensor(x), store, "fc").data
     want = x @ store["fc.w"].data + store["fc.b"].data
     assert np.allclose(got, want, atol=1e-12)
+
+
+def test_affine_is_bit_identical_to_matmul_add():
+    rng = np.random.default_rng(30)
+    arrays = [rng.standard_normal((7, 5)), rng.standard_normal((5, 6)),
+              rng.standard_normal(6)]
+    assert_bit_equal(
+        run_with_grads(lambda x, w, b: (T.affine(x, w, b), None), arrays, 1),
+        run_with_grads(lambda x, w, b: (unfused_affine(x, w, b), None),
+                       arrays, 1))
+
+
+@pytest.mark.parametrize("t_q,t_k,causal", [(9, 9, True), (3, 9, True),
+                                            (4, 7, False), (6, 6, False)])
+def test_attend_is_bit_identical_to_the_op_chain(t_q, t_k, causal):
+    rng = np.random.default_rng(31 + t_q)
+    # head width 3: a scale that is not a power of two rounds
+    arrays = [rng.standard_normal((2, t_q, 3)), rng.standard_normal((2, t_k, 3)),
+              rng.standard_normal((2, t_k, 3))]
+    mask = np.triu(np.full((t_q, t_k), NEG_INF), k=1 + t_k - t_q) \
+        if causal else None
+    scale = 1.0 / np.sqrt(3)
+    assert_bit_equal(
+        run_with_grads(lambda q, k, v: T.attend(q, k, v, scale, mask),
+                       arrays, 2),
+        run_with_grads(lambda q, k, v: unfused_attend(q, k, v, scale, mask),
+                       arrays, 2))
+
+
+def test_block_grads_match_the_unfused_tape(monkeypatch):
+    # a causal block over cached past rows: every parameter and input
+    # gradient equals the one the unfused op chains give, bit for bit
+    rng = np.random.default_rng(33)
+    store = ParamStore()
+    init_block(store, "b", 6, rng)
+    head, x = rng.standard_normal((3, 6)), rng.standard_normal((5, 6))
+    w = rng.standard_normal((5, 6))
+
+    def run():
+        past: dict = {}
+        block(Tensor(head), store, "b", 2, causal=True, past=past)
+        xt = Tensor(x, requires_grad=True)
+        T.tsum(block(xt, store, "b", 2, causal=True, past=past)
+               * Tensor(w)).backward()
+        grads = {n: p.grad for n, p in store.params.items()}
+        store.zero_grad()
+        return xt.grad, grads
+
+    fused_x, fused = run()
+    monkeypatch.setattr(layers, "affine", unfused_affine)
+    monkeypatch.setattr(layers, "attend", unfused_attend)
+    chain_x, chain = run()
+    assert np.array_equal(fused_x, chain_x)
+    assert fused.keys() == chain.keys()
+    assert all(np.array_equal(fused[n], chain[n]) for n in fused)
 
 
 def test_mlp_matches_manual():

@@ -158,6 +158,23 @@ def test_matmul_grads():
                         rng.standard_normal((2, 4, 2))])
 
 
+def test_affine_grads():
+    rng = np.random.default_rng(22)
+    check_op(T.affine, [rng.standard_normal((5, 3)), rng.standard_normal((3, 4)),
+                        rng.standard_normal(4)])
+
+
+def test_attend_grads():
+    rng = np.random.default_rng(23)
+    causal = np.triu(np.full((4, 4), -1e9), k=1)
+    check_op(lambda q, k, v: T.attend(q, k, v, 0.5, causal)[0],
+             [rng.standard_normal((2, 4, 3)) for _ in range(3)])
+    # cross-attention: 3 queries over 5 keys, no mask
+    check_op(lambda q, k, v: T.attend(q, k, v, 0.5)[0],
+             [rng.standard_normal((2, 3, 3)), rng.standard_normal((2, 5, 3)),
+              rng.standard_normal((2, 5, 3))])
+
+
 def test_shape_op_grads():
     rng = np.random.default_rng(13)
     x = rng.standard_normal((3, 4, 2))
@@ -247,6 +264,26 @@ def test_backward_frees_tape_keeps_leaf_grads():
     assert mid._parents == () and mid._backward is None
 
 
+def test_first_gradient_from_a_view_is_stored_c_contiguous():
+    # transpose's backward hands its parent a transposed view of its grad
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    T.tsum(T.transpose(x) * Tensor(np.arange(6.0).reshape(3, 2))).backward()
+    assert x.grad.flags.c_contiguous
+    assert np.array_equal(x.grad, np.arange(6.0).reshape(3, 2).T)
+
+
+def test_slice_backward_adds_into_an_existing_gradient():
+    x = Tensor(np.zeros((4, 3)), requires_grad=True)
+    w = np.arange(12.0).reshape(4, 3)
+    T.tsum(x * Tensor(w)).backward()
+    # a second pass slices into the leaf's kept gradient, twice over row 1
+    (T.tsum(x[1:3] * 2.0) + T.tsum(x[1])).backward()
+    want = w.copy()
+    want[1:3] += 2.0
+    want[1] += 1.0
+    assert np.array_equal(x.grad, want)
+
+
 def test_forward_backward_twice_same_grads():
     rng = np.random.default_rng(17)
     x = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
@@ -291,3 +328,9 @@ def test_shape_errors_name_the_shapes():
         T.reshape(Tensor(np.ones((3, 3))), (2, 5))
     with pytest.raises(ShapeError):
         T.concat([])
+    with pytest.raises(ShapeError, match="affine"):
+        T.affine(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))),
+                 Tensor(np.ones(3)))
+    with pytest.raises(ShapeError, match="attend"):
+        T.attend(Tensor(np.ones((1, 2, 3))), Tensor(np.ones((1, 4, 2))),
+                 Tensor(np.ones((1, 4, 2))), 1.0)
