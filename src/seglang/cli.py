@@ -8,6 +8,7 @@ code 0 means the report/outputs were written and no protocol error occurred.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -42,14 +43,9 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    choices=("on", "off"))
 
 
-_CONFIG_KEYS = ("data_dir", "vocab_path", "checkpoint", "init_checkpoint",
-                "out_dir", "seed", "stage", "steps", "lr", "optimizer",
-                "momentum", "batch", "interleave_boost", "alpha", "max_steps",
-                "ilvc_enabled")
-
-
 def _config_from(args) -> RunConfig:
-    overrides = {k: getattr(args, k, None) for k in _CONFIG_KEYS}
+    overrides = {f.name: getattr(args, f.name, None)
+                 for f in dataclasses.fields(RunConfig)}
     if overrides.get("ilvc_enabled") is not None:
         overrides["ilvc_enabled"] = overrides["ilvc_enabled"] == "on"
     return RunConfig.load(getattr(args, "config", None), overrides)

@@ -11,8 +11,6 @@ import dataclasses
 import json
 from dataclasses import dataclass
 
-from .losses import LossConfig
-
 
 @dataclass
 class RunConfig:
@@ -73,14 +71,14 @@ class RunConfig:
             raise ValueError("batch must be at least 1")
         if not 0.0 <= self.interleave_boost < 1.0:
             raise ValueError("interleave_boost must be in [0, 1)")
+        if self.alpha < 0:
+            raise ValueError("alpha must be nonnegative")
+        if self.dice_eps <= 0 or self.ce_eps <= 0:
+            raise ValueError("smoothing epsilons must be positive")
 
     @property
     def vocab_file(self) -> str:
         return self.vocab_path or f"{self.data_dir}/vocab.txt"
-
-    def loss_config(self) -> LossConfig:
-        return LossConfig(alpha=self.alpha, w_ce=self.w_ce, w_dice=self.w_dice,
-                          dice_eps=self.dice_eps, ce_eps=self.ce_eps)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -14,21 +14,11 @@ def write_ppm(path: str, rgb: np.ndarray) -> None:
     rgb = np.asarray(rgb, dtype=np.uint8)
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise ValueError(f"write_ppm: need HxWx3, got {rgb.shape}")
-    h, w = rgb.shape[:2]
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(rgb.tobytes())
+    _write(path, "P6", rgb)
 
 
 def read_ppm(path: str) -> np.ndarray:
-    with open(path, "rb") as f:
-        magic, (w, h), maxval, payload = _read_netpbm(f)
-    if magic != b"P6":
-        raise ValueError(f"read_ppm: {path} is {magic!r}, not P6")
-    if maxval != 255:
-        raise ValueError(f"read_ppm: unsupported maxval {maxval}")
-    arr = np.frombuffer(payload, dtype=np.uint8, count=h * w * 3)
-    return arr.reshape(h, w, 3).copy()
+    return _read(path, "P6", 3)
 
 
 def write_pgm(path: str, mask: np.ndarray) -> None:
@@ -36,46 +26,54 @@ def write_pgm(path: str, mask: np.ndarray) -> None:
     mask = np.asarray(mask)
     if mask.ndim != 2:
         raise ValueError(f"write_pgm: need HxW, got {mask.shape}")
-    gray = np.where(mask.astype(bool), 255, 0).astype(np.uint8)
-    h, w = gray.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(gray.tobytes())
+    _write(path, "P5", np.where(mask.astype(bool), 255, 0).astype(np.uint8))
 
 
 def read_pgm(path: str) -> np.ndarray:
     """Returns HxW bool (any nonzero byte counts as foreground)."""
+    return read_pgm_raw(path) > 0
+
+
+def _write(path: str, magic: str, array: np.ndarray) -> None:
+    """Header, then the row-major bytes of an HxW or HxWx3 uint8 array."""
+    h, w = array.shape[:2]
+    with open(path, "wb") as f:
+        f.write(f"{magic}\n{w} {h}\n255\n".encode("ascii"))
+        f.write(array.tobytes())
+
+
+def _read(path: str, magic: str, channels: int) -> np.ndarray:
+    """HxW (one channel) or HxWxchannels uint8 body; the header parse
+    tolerates whitespace and comments."""
     with open(path, "rb") as f:
-        magic, (w, h), maxval, payload = _read_netpbm(f)
-    if magic != b"P5":
-        raise ValueError(f"read_pgm: {path} is {magic!r}, not P5")
-    if maxval != 255:
-        raise ValueError(f"read_pgm: unsupported maxval {maxval}")
-    arr = np.frombuffer(payload, dtype=np.uint8, count=h * w)
-    return (arr.reshape(h, w) > 0).copy()
-
-
-def _read_netpbm(f):
-    """Parse magic + 3 header ints (whitespace/comment tolerant) + payload."""
-    magic = f.read(2)
-    fields = []
-    while len(fields) < 3:
-        tok = b""
-        c = f.read(1)
-        while c.isspace():
+        found = f.read(2)
+        if found != magic.encode("ascii"):
+            raise ValueError(f"{path} is {found!r}, not {magic}")
+        fields = []
+        while len(fields) < 3:
+            tok = b""
             c = f.read(1)
-        if c == b"#":
-            while c not in (b"\n", b""):
+            while c.isspace():
                 c = f.read(1)
-            continue
-        while c and not c.isspace():
-            tok += c
-            c = f.read(1)
-        if not tok:
-            raise ValueError("truncated netpbm header")
-        fields.append(int(tok))
+            if c == b"#":
+                while c not in (b"\n", b""):
+                    c = f.read(1)
+                continue
+            while c and not c.isspace():
+                tok += c
+                c = f.read(1)
+            if not tok:
+                raise ValueError(f"{path}: truncated netpbm header")
+            fields.append(int(tok))
+        body = f.read()
     w, h, maxval = fields
-    return magic, (w, h), maxval, f.read()
+    if maxval != 255:
+        raise ValueError(f"{path}: unsupported maxval {maxval}")
+    shape = (h, w) if channels == 1 else (h, w, channels)
+    size = h * w * channels
+    if len(body) < size:
+        raise ValueError(f"{path}: body has {len(body)} bytes, expected {size}")
+    return np.frombuffer(body, dtype=np.uint8, count=size).reshape(shape).copy()
 
 
 def to_unit_float(rgb: np.ndarray) -> np.ndarray:
@@ -88,20 +86,12 @@ def write_pgm_prob(path: str, prob: np.ndarray) -> None:
     prob = np.asarray(prob, dtype=np.float64)
     if prob.ndim != 2:
         raise ValueError(f"write_pgm_prob: need HxW, got {prob.shape}")
-    gray = np.rint(np.clip(prob, 0.0, 1.0) * 255.0).astype(np.uint8)
-    h, w = gray.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(gray.tobytes())
+    _write(path, "P5", np.rint(np.clip(prob, 0.0, 1.0) * 255.0).astype(np.uint8))
 
 
 def read_pgm_raw(path: str) -> np.ndarray:
     """Raw HxW uint8 payload of a P5 file (for golden-byte comparisons)."""
-    with open(path, "rb") as f:
-        magic, (w, h), maxval, payload = _read_netpbm(f)
-    if magic != b"P5":
-        raise ValueError(f"read_pgm_raw: {path} is {magic!r}, not P5")
-    return np.frombuffer(payload, dtype=np.uint8, count=h * w).reshape(h, w).copy()
+    return _read(path, "P5", 1)
 
 
 def bilinear_resize(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .store import ParamStore
 from .tensor import (Tensor, ShapeError, add, affine, attend, concat, gelu,
-                     layer_norm, randn, reshape, tensor, transpose, zeros)
+                     layer_norm, randn, zeros)
 
 NEG_INF = -1e9  # additive mask value; exp underflows to exactly 0.0
 
@@ -57,18 +57,6 @@ def mlp_gelu(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
     return linear(gelu(linear(x, store, f"{prefix}.fc1")), store, f"{prefix}.fc2")
 
 
-def split_heads(x: Tensor, n_heads: int) -> Tensor:
-    """TxD -> n_heads x T x d_head."""
-    t, d = x.shape
-    return transpose(reshape(x, (t, n_heads, d // n_heads)), (1, 0, 2))
-
-
-def merge_heads(x: Tensor) -> Tensor:
-    """n_heads x T x d_head -> TxD."""
-    h, t, dh = x.shape
-    return reshape(transpose(x, (1, 0, 2)), (t, h * dh))
-
-
 def attention(q_in: Tensor, kv_in: Tensor, store: ParamStore, prefix: str,
               n_heads: int, causal: bool = False, return_attn: bool = False,
               past: dict | None = None):
@@ -77,25 +65,22 @@ def attention(q_in: Tensor, kv_in: Tensor, store: ParamStore, prefix: str,
     q_in: T_q x D, kv_in: T_k x D. Causal masking adds NEG_INF above the
     diagonal, which underflows to an exact zero weight, so future positions
     contribute nothing bit-wise. `past`, when given, holds the K and V
-    (heads x rows x d_head arrays, no tape) of the rows before `kv_in`: the
-    queries attend over past + new rows, the mask's diagonal shifts by the
-    past length, and `past` is updated to cover the new rows too.
+    (T x D row arrays, no tape) of the rows before `kv_in`: the queries
+    attend over past + new rows, the mask's diagonal shifts by the past
+    length, and `past` is updated to cover the new rows too.
     """
-    d = q_in.shape[-1]
-    if d % n_heads != 0:
-        raise ShapeError(f"attention: width {d} not divisible by {n_heads} heads")
-    q = split_heads(linear(q_in, store, f"{prefix}.q"), n_heads)
-    k = split_heads(linear(kv_in, store, f"{prefix}.k"), n_heads)
-    v = split_heads(linear(kv_in, store, f"{prefix}.v"), n_heads)
+    q = linear(q_in, store, f"{prefix}.q")
+    k = linear(kv_in, store, f"{prefix}.k")
+    v = linear(kv_in, store, f"{prefix}.v")
     if past is not None:
         if past:
-            k = concat([tensor(past["k"]), k], axis=1)
-            v = concat([tensor(past["v"]), v], axis=1)
+            k = concat([Tensor(past["k"]), k])
+            v = concat([Tensor(past["v"]), v])
         past["k"], past["v"] = k.data, v.data
-    mask = np.triu(np.full((q.shape[1], k.shape[1]), NEG_INF),
-                   k=1 + k.shape[1] - q.shape[1]) if causal else None
-    heads, weights = attend(q, k, v, 1.0 / np.sqrt(d // n_heads), mask)
-    out = linear(merge_heads(heads), store, f"{prefix}.o")
+    mask = np.triu(np.full((q.shape[0], k.shape[0]), NEG_INF),
+                   k=1 + k.shape[0] - q.shape[0]) if causal else None
+    heads, weights = attend(q, k, v, n_heads, mask)
+    out = linear(heads, store, f"{prefix}.o")
     if return_attn:
         return out, weights.copy()
     return out

@@ -11,22 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .tensor import Tensor, ShapeError, add, clip, div, mul, tlog, tmean, tsum
-
-
-@dataclass
-class LossConfig:
-    alpha: float = 1.0
-    w_ce: float = 1.0
-    w_dice: float = 1.0
-    dice_eps: float = 1.0
-    ce_eps: float = 1e-7
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        if self.dice_eps <= 0 or self.ce_eps <= 0:
-            raise ValueError("smoothing epsilons must be positive")
 
 
 @dataclass
@@ -66,7 +52,7 @@ def dice_loss(pred: Tensor, gt: np.ndarray, eps: float = 1.0) -> Tensor:
 
 
 def combined_loss(text: Tensor, masks: list[tuple[Tensor, np.ndarray]],
-                  cfg: LossConfig) -> LossReport:
+                  cfg: RunConfig) -> LossReport:
     """Assemble the full objective; `masks` pairs predictions with GT."""
     if masks:
         n = float(len(masks))

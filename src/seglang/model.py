@@ -78,4 +78,4 @@ class Model:
         masks = [(maskdec.decode_mask(st.hidden, f_p_raw, dims, self.store),
                   gt.astype(np.float64))
                  for st, (gt, _) in zip(seg_states, sample.regions)]
-        return losses.combined_loss(text, masks, self.cfg.loss_config())
+        return losses.combined_loss(text, masks, self.cfg)

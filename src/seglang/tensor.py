@@ -131,10 +131,6 @@ def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def tensor(values, requires_grad: bool = False) -> Tensor:
-    return Tensor(values, requires_grad)
-
-
 def zeros(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad)
 
@@ -252,31 +248,46 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (x, w, b), backward)
 
 
-def attend(q: Tensor, k: Tensor, v: Tensor, scale: float,
+def attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
            mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
-    """softmax(q @ kᵀ * scale + mask) @ v as one tape node -> (out, weights).
+    """Multi-head softmax(q @ kᵀ / √d_head + mask) @ v as one tape node.
 
-    q: H x T_q x d, k and v: H x T_k x d. Values and gradients match the
-    unfused op chain bit for bit, but no T_q x T_k array stays on the tape."""
-    if q.ndim != 3 or k.shape != v.shape or k.ndim != 3 \
-            or q.shape[0] != k.shape[0] or q.shape[2] != k.shape[2]:
-        raise ShapeError(f"attend: q {q.shape}, k {k.shape}, v {v.shape}")
-    kt = np.ascontiguousarray(np.transpose(k.data, (0, 2, 1)))
-    scores = np.matmul(q.data, kt) * scale
+    q: T_q x D, k and v: T_k x D; the node splits the rows into n_heads heads
+    and merges them back, and returns (T_q x D out, heads x T_q x T_k
+    weights). Values and gradients match the unfused op chain bit for bit,
+    but no T_q x T_k array stays on the tape."""
+    if q.ndim != 2 or k.shape != v.shape or k.ndim != 2 \
+            or k.shape[1] != q.shape[1] or q.shape[1] % n_heads:
+        raise ShapeError(f"attend: q {q.shape}, k {k.shape}, v {v.shape} "
+                         f"in {n_heads} heads")
+    d = q.shape[1]
+    dh = d // n_heads
+    scale = 1.0 / np.sqrt(dh)
+
+    def heads(x: np.ndarray) -> np.ndarray:   # T x D -> heads x T x d_head
+        return np.ascontiguousarray(x.reshape(-1, n_heads, dh).transpose(1, 0, 2))
+
+    def rows(x: np.ndarray) -> np.ndarray:    # heads x T x d_head -> T x D
+        return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(-1, d)
+
+    qh, vh = heads(q.data), heads(v.data)
+    kt = np.ascontiguousarray(k.data.reshape(-1, n_heads, dh).transpose(1, 2, 0))
+    scores = np.matmul(qh, kt) * scale
     scores = scores if mask is None else scores + mask
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     weights = e / e.sum(axis=-1, keepdims=True)
-    out_data = np.matmul(weights, v.data)
+    out_data = rows(np.matmul(weights, vh))
 
     def backward(g):
-        gy = np.matmul(g, v.data.swapaxes(-1, -2)) * weights
+        g = heads(g)
+        gy = np.matmul(g, vh.swapaxes(-1, -2)) * weights
         if v.requires_grad:
-            v._accumulate(np.matmul(weights.swapaxes(-1, -2), g))
+            v._accumulate(rows(np.matmul(weights.swapaxes(-1, -2), g)))
         gs = (gy - weights * gy.sum(axis=-1, keepdims=True)) * scale
         if q.requires_grad:
-            q._accumulate(np.matmul(gs, kt.swapaxes(-1, -2)))
+            q._accumulate(rows(np.matmul(gs, kt.swapaxes(-1, -2))))
         if k.requires_grad:
-            k._accumulate(np.matmul(q.data.swapaxes(-1, -2), gs).swapaxes(1, 2))
+            k._accumulate(rows(np.matmul(qh.swapaxes(-1, -2), gs).swapaxes(1, 2)))
 
     return _make(out_data, (q, k, v), backward), weights
 
@@ -372,20 +383,6 @@ def tmean(a: Tensor, axis=None) -> Tensor:
 
 
 # -- nonlinearities ----------------------------------------------------------
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    a = _wrap(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        if a.requires_grad:
-            gy = g * out_data
-            a._accumulate(gy - out_data * gy.sum(axis=axis, keepdims=True))
-
-    return _make(out_data, (a,), backward)
-
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     a = _wrap(a)

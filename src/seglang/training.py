@@ -22,7 +22,7 @@ from .config import RunConfig
 from .images import read_ppm, to_unit_float
 from .model import ALL_PREFIXES, Model
 from .scenes import Sample, default_vocab, load_attr_records, load_split
-from .sequence import FeatureBlock, TextToken, build_inference_prefix
+from .sequence import build_inference_prefix
 from .store import grad_check
 from .vocab import Vocab
 
@@ -101,20 +101,14 @@ def description_positions(seq) -> list[int]:
     """Flat positions of description tokens (inside the region brackets)."""
     vocab = seq.vocab
     positions = []
-    pos = 0
     inside = False
-    for e in seq.elements:
-        if isinstance(e, FeatureBlock):
-            pos += e.grid.tokens
-            continue
-        if isinstance(e, TextToken):
-            if e.token_id == vocab.p_open:
-                inside = True
-            elif e.token_id == vocab.p_close:
-                inside = False
-            elif inside:
-                positions.append(pos)
-        pos += 1
+    for pos, token in enumerate(seq.layout()[0]):
+        if token == vocab.p_open:
+            inside = True
+        elif token == vocab.p_close:
+            inside = False
+        elif inside:
+            positions.append(pos)
     return positions
 
 
@@ -173,17 +167,15 @@ def write_refseg_csv(rows: list[dict], path: str) -> None:
 
 # ---- attribute probing -----------------------------------------------------
 
-def answer_question(model: Model, image: np.ndarray, question: str,
-                    max_steps: int = 8) -> str:
-    """Greedy answer to a yes/no question; returns the first emitted word."""
+def answer_question(model: Model, image: np.ndarray, question: str) -> str:
+    """Greedy one-token answer to a yes/no question: the first decoded word,
+    or "" when that token is the end token or does not fit the context."""
     instruction = engine.prompt_template("vqa", False, model.vocab) \
         + model.vocab.encode(question)
     result = engine.generate(model, image, instruction, ilvc_enabled=False,
-                             max_steps=max_steps)
-    for tok in result.output_tokens:
-        if tok != model.vocab.eos:
-            return model.vocab.tokens[tok]
-        break
+                             max_steps=1)
+    if result.output_tokens and result.output_tokens[0] != model.vocab.eos:
+        return model.vocab.tokens[result.output_tokens[0]]
     return ""
 
 

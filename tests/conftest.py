@@ -1,5 +1,12 @@
 """Shared fixtures: a tiny generated data split and toy models."""
 
+import os
+
+# OpenBLAS reads its thread count once, when numpy loads, so the pin that
+# seglang sets on import would come too late here
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

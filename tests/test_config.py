@@ -18,12 +18,6 @@ def test_vocab_path_overrides_data_dir():
     assert cfg.vocab_file == "elsewhere/v.txt"
 
 
-def test_loss_config_mirrors_fields():
-    cfg = RunConfig(alpha=0.5, w_ce=2.0, w_dice=0.25, dice_eps=0.5)
-    lc = cfg.loss_config()
-    assert (lc.alpha, lc.w_ce, lc.w_dice, lc.dice_eps) == (0.5, 2.0, 0.25, 0.5)
-
-
 @pytest.mark.parametrize("bad", [
     dict(stage=3),
     dict(stage=0),
@@ -35,6 +29,9 @@ def test_loss_config_mirrors_fields():
     dict(batch=0),
     dict(interleave_boost=1.0),
     dict(interleave_boost=-0.1),
+    dict(alpha=-1),
+    dict(dice_eps=0),
+    dict(ce_eps=0),
 ])
 def test_invalid_shapes_rejected(bad):
     with pytest.raises(ValueError):

@@ -57,6 +57,15 @@ def test_wrong_magic_rejected(tmp_path):
         write_ppm(str(tmp_path / "z"), np.zeros((2, 2), dtype=np.uint8))
 
 
+@pytest.mark.parametrize("magic,read,size", [(b"P6", read_ppm, 2 * 3 * 3),
+                                             (b"P5", read_pgm, 2 * 3)])
+def test_short_body_names_the_file_and_size(tmp_path, magic, read, size):
+    p = tmp_path / "short"
+    p.write_bytes(magic + b"\n3 2\n255\n" + bytes(size - 1))
+    with pytest.raises(ValueError, match=f"short.*{size - 1} bytes, expected {size}"):
+        read(str(p))
+
+
 def test_to_unit_float_range():
     img = np.array([[[0, 128, 255]]], dtype=np.uint8)
     out = to_unit_float(img)

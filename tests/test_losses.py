@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from seglang.losses import (LossConfig, combined_loss, dice_loss, mask_ce)
+from seglang.config import RunConfig
+from seglang.losses import combined_loss, dice_loss, mask_ce
 from seglang.tensor import ShapeError, Tensor
 
 
@@ -68,7 +69,7 @@ def test_combined_loss_region_average_and_weights():
         pred = Tensor(rng.random((4, 4)))
         gt = (rng.random((4, 4)) < 0.5).astype(np.float64)
         masks.append((pred, gt))
-    cfg = LossConfig(alpha=0.5, w_ce=2.0, w_dice=0.25)
+    cfg = RunConfig(alpha=0.5, w_ce=2.0, w_dice=0.25)
     rep = combined_loss(text, masks, cfg)
     ce_want = np.mean([mask_ce(p, g, cfg.ce_eps).item() for p, g in masks])
     dice_want = np.mean([dice_loss(p, g, cfg.dice_eps).item() for p, g in masks])
@@ -82,7 +83,7 @@ def test_combined_loss_region_average_and_weights():
 
 
 def test_combined_loss_without_masks():
-    rep = combined_loss(Tensor(1.25), [], LossConfig())
+    rep = combined_loss(Tensor(1.25), [], RunConfig())
     assert rep.total.item() == 1.25
     assert rep.mask.item() == 0.0
     assert rep.ce.item() == 0.0 and rep.dice.item() == 0.0
@@ -93,7 +94,7 @@ def test_combined_loss_backward_reaches_text_and_masks():
     text = Tensor(0.5, requires_grad=True)
     pred = Tensor(rng.random((3, 3)), requires_grad=True)
     gt = np.eye(3)
-    rep = combined_loss(text, [(pred, gt)], LossConfig())
+    rep = combined_loss(text, [(pred, gt)], RunConfig())
     rep.total.backward()
     assert text.grad is not None and float(text.grad) == 1.0
     assert pred.grad is not None and np.abs(pred.grad).sum() > 0
@@ -103,6 +104,6 @@ def test_shape_and_config_validation():
     with pytest.raises(ShapeError, match="mask loss"):
         mask_ce(Tensor(np.zeros((2, 2))), np.zeros((3, 3)))
     with pytest.raises(ValueError, match="alpha"):
-        LossConfig(alpha=-1.0)
+        RunConfig(alpha=-1.0)
     with pytest.raises(ValueError, match="epsilons"):
-        LossConfig(dice_eps=0.0)
+        RunConfig(dice_eps=0.0)

@@ -6,11 +6,16 @@ which has its own test). Forward values are checked against direct formula
 oracles where one exists.
 """
 
+import ctypes
+import glob
+import os
+
 import numpy as np
 import pytest
 
 from seglang import tensor as T
 from seglang.tensor import ShapeError, Tensor
+from test_layers import softmax
 
 H = 1e-5
 TOL = 1e-5
@@ -82,7 +87,7 @@ def test_batched_matmul_matches_loop():
 def test_softmax_matches_direct_formula():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((4, 7)) * 3
-    got = T.softmax(Tensor(x)).data
+    got = softmax(Tensor(x)).data
     want = np.exp(x) / np.exp(x).sum(axis=-1, keepdims=True)
     assert np.allclose(got, want, atol=1e-12)
     assert np.allclose(got.sum(axis=-1), 1.0, atol=1e-12)
@@ -92,7 +97,7 @@ def test_log_softmax_consistency():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((5, 6))
     assert np.allclose(T.log_softmax(Tensor(x)).data,
-                       np.log(T.softmax(Tensor(x)).data), atol=1e-12)
+                       np.log(softmax(Tensor(x)).data), atol=1e-12)
 
 
 def test_sigmoid_tanh_form_matches_logistic():
@@ -167,12 +172,12 @@ def test_affine_grads():
 def test_attend_grads():
     rng = np.random.default_rng(23)
     causal = np.triu(np.full((4, 4), -1e9), k=1)
-    check_op(lambda q, k, v: T.attend(q, k, v, 0.5, causal)[0],
-             [rng.standard_normal((2, 4, 3)) for _ in range(3)])
+    check_op(lambda q, k, v: T.attend(q, k, v, 2, causal)[0],
+             [rng.standard_normal((4, 6)) for _ in range(3)])
     # cross-attention: 3 queries over 5 keys, no mask
-    check_op(lambda q, k, v: T.attend(q, k, v, 0.5)[0],
-             [rng.standard_normal((2, 3, 3)), rng.standard_normal((2, 5, 3)),
-              rng.standard_normal((2, 5, 3))])
+    check_op(lambda q, k, v: T.attend(q, k, v, 2)[0],
+             [rng.standard_normal((3, 6)), rng.standard_normal((5, 6)),
+              rng.standard_normal((5, 6))])
 
 
 def test_shape_op_grads():
@@ -204,7 +209,7 @@ def test_reduction_grads():
 def test_nonlinearity_grads():
     rng = np.random.default_rng(15)
     x = rng.standard_normal((4, 6))
-    check_op(T.softmax, [x.copy()])
+    check_op(softmax, [x.copy()])
     check_op(T.log_softmax, [x.copy()])
     check_op(T.layer_norm, [x.copy()])
     check_op(T.gelu, [x.copy()])
@@ -290,7 +295,7 @@ def test_forward_backward_twice_same_grads():
 
     def run():
         x.grad = None
-        T.tsum(T.softmax(x) * x).backward()
+        T.tsum(softmax(x) * x).backward()
         return x.grad.copy()
 
     assert np.array_equal(run(), run())
@@ -332,5 +337,20 @@ def test_shape_errors_name_the_shapes():
         T.affine(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 4))),
                  Tensor(np.ones(3)))
     with pytest.raises(ShapeError, match="attend"):
-        T.attend(Tensor(np.ones((1, 2, 3))), Tensor(np.ones((1, 4, 2))),
-                 Tensor(np.ones((1, 4, 2))), 1.0)
+        T.attend(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))),
+                 Tensor(np.ones((4, 2))), 1)
+
+
+# ---- BLAS threads -----------------------------------------------------------
+
+def test_openblas_runs_on_the_pinned_thread_count():
+    # numpy wheels bundle OpenBLAS under numpy.libs; the library is already
+    # loaded, so opening it again returns the handle numpy uses
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir,
+                                  "numpy.libs", "libscipy_openblas*"))
+    try:
+        get = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        pytest.skip("numpy has no bundled OpenBLAS with a thread query")
+    get.restype = ctypes.c_int
+    assert get() == int(os.environ["OPENBLAS_NUM_THREADS"])

@@ -1,17 +1,19 @@
 """Training drivers: toy fixtures, stage freezing, eval plumbing, determinism."""
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
 from seglang.config import RunConfig
+from seglang.engine import generate, prompt_template
 from seglang.model import Model, STAGE_PREFIXES
 from seglang.scenes import default_vocab
-from seglang.training import (description_positions, eval_attr, eval_refseg,
-                              grad_check_suite, load_model, make_toy_config,
-                              make_toy_sample, seg_state_for, train,
-                              write_refseg_csv)
+from seglang.training import (answer_question, description_positions,
+                              eval_attr, eval_refseg, grad_check_suite,
+                              load_model, make_toy_config, make_toy_sample,
+                              seg_state_for, train, write_refseg_csv)
 from seglang.vocab import Vocab
 
 
@@ -202,3 +204,52 @@ def test_eval_attr_smoke(tiny_split):
     for key in ("vqa_acc", "acc1", "acc3"):
         assert 0.0 <= rep[key] <= 1.0
     assert rep["acc1"] <= rep["acc3"] + 1e-12
+
+
+# ---- AttrEval answers ------------------------------------------------------
+
+QUESTION = "is the circle red ?"
+
+
+def first_word_of_long_episode(model, image, question, max_steps=8):
+    instruction = prompt_template("vqa", False, model.vocab) \
+        + model.vocab.encode(question)
+    result = generate(model, image, instruction, False, max_steps=max_steps)
+    first = result.output_tokens[:1]
+    if not first or first[0] == model.vocab.eos:
+        return "", result
+    return model.vocab.tokens[first[0]], result
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_answer_is_the_first_word_of_an_eight_step_episode(toy_vocab, seed):
+    cfg = make_toy_config(seed)
+    rng = np.random.default_rng(seed)
+    model = Model(cfg, toy_vocab, rng)
+    for _ in range(3):
+        image = rng.random((cfg.canvas, cfg.canvas, 3))
+        want, _ = first_word_of_long_episode(model, image, QUESTION)
+        assert want != ""
+        assert answer_question(model, image, QUESTION) == want
+
+
+def test_answer_is_empty_when_the_head_favours_eos(toy_vocab):
+    cfg = make_toy_config(1)
+    model = Model(cfg, toy_vocab, np.random.default_rng(1))
+    model.store["lm.head.b"].data[toy_vocab.eos] = 1e3
+    image = np.random.default_rng(2).random((cfg.canvas, cfg.canvas, 3))
+    want, result = first_word_of_long_episode(model, image, QUESTION)
+    assert want == "" and result.end_reason == "eos"
+    assert answer_question(model, image, QUESTION) == ""
+
+
+def test_answer_is_empty_when_the_first_token_does_not_fit(toy_vocab):
+    cfg = make_toy_config(0)
+    image = np.random.default_rng(3).random((cfg.canvas, cfg.canvas, 3))
+    f_g, _ = Model(cfg, toy_vocab).encode_image(image)
+    rows = f_g.tokens + len(prompt_template("vqa", False, toy_vocab)
+                            + toy_vocab.encode(QUESTION))
+    model = Model(dataclasses.replace(cfg, max_seq=rows), toy_vocab)
+    want, result = first_word_of_long_episode(model, image, QUESTION)
+    assert want == "" and result.end_reason == "context_full"
+    assert answer_question(model, image, QUESTION) == ""
