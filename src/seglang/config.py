@@ -41,7 +41,7 @@ class RunConfig:
     momentum: float = 0.0       # sgd only
     steps: int = 400
     batch: int = 4              # samples averaged into one update
-    interleave_boost: float = 0.65  # extra draw weight on interleaved refseg
+    interleave_boost: float = 0.8   # extra draw weight on interleaved refseg
 
     # generation / eval
     ilvc_enabled: bool = True

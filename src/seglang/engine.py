@@ -2,14 +2,15 @@
 
 Decoding proceeds one token at a time over the interleaved sequence: one
 prefill pass over the prefix, then one cached LM call per step over the rows
-that step appended. A seg token triggers mask decoding against the cached
-raw pixel features and becomes the current mask; a region-marker token crops
-the current mask's bounding box, encodes it through the semantic branch, and
-splices the features into the sequence; the end token stops the loop. Protocol
-violations (marker before any mask, marker over an empty mask) abort the
-episode and are recorded in the event trace; a token whose rows do not fit
-in `max_seq` ends it unemitted. With interleaving disabled the marker token
-is ordinary text and no crop can ever occur.
+that step appended; each reads only its last row's logits. A seg token
+triggers mask decoding against the cached raw pixel features and becomes the
+current mask; a region-marker token crops the current mask's bounding box,
+encodes it through the semantic branch, and splices the features into the
+sequence; the end token stops the loop. Protocol violations (marker before
+any mask, marker over an empty mask) abort the episode and are recorded in
+the event trace; a token whose rows do not fit in `max_seq` ends it
+unemitted. With interleaving disabled the marker token is ordinary text and
+no crop can ever occur.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def _episode(model: Model, image: np.ndarray, instruction: list[int],
     f_g, f_p_raw = model.encode_image(image)
     seq = sequence.build_inference_prefix(f_g, instruction, vocab)
     cache = lm.DecodeCache(cfg.lm_layers)
-    logits, _ = lm.forward(seq, store, cfg, cache)
+    logits, _ = lm.forward(seq, store, cfg, cache, rows=[len(seq) - 1])
 
     masks: list[np.ndarray] = []
     output: list[int] = []
@@ -95,7 +96,7 @@ def _episode(model: Model, image: np.ndarray, instruction: list[int],
 
     for step in range(max_steps):
         if logits is None:   # run the rows the previous step appended
-            logits, _ = lm.forward(seq, store, cfg, cache)
+            logits, _ = lm.forward(seq, store, cfg, cache, rows=[len(seq) - 1])
         if record_logits:
             logits_log.append(logits.data[-1].copy())
         token = policy(logits.data[-1])
@@ -130,7 +131,7 @@ def _episode(model: Model, image: np.ndarray, instruction: list[int],
             seg_count += 1
             seq.append_seg(seg_count, supervised=False)
             # one row: its hidden feeds the mask, its logits the next token
-            logits, seg_states = lm.forward(seq, store, cfg, cache)
+            logits, seg_states = lm.forward(seq, store, cfg, cache, rows=[len(seq) - 1])
             mask_map = maskdec.decode_mask(seg_states[-1].hidden, f_p_raw,
                                            image.shape[:2], store)
             masks.append(mask_map.data.copy())

@@ -64,6 +64,9 @@ def _read(path: str, magic: str, channels: int) -> np.ndarray:
                 c = f.read(1)
             if not tok:
                 raise ValueError(f"{path}: truncated netpbm header")
+            if not tok.isdigit():
+                name = ("width", "height", "maxval")[len(fields)]
+                raise ValueError(f"{path}: netpbm {name} {tok!r} is not a number")
             fields.append(int(tok))
         body = f.read()
     w, h, maxval = fields

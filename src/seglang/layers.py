@@ -11,7 +11,7 @@ import numpy as np
 
 from .store import ParamStore
 from .tensor import (Tensor, ShapeError, add, affine, attend, concat, gelu,
-                     layer_norm, randn, zeros)
+                     layer_norm, randn, tslice, zeros)
 
 NEG_INF = -1e9  # additive mask value; exp underflows to exactly 0.0
 
@@ -59,17 +59,17 @@ def mlp_gelu(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
 
 def attention(q_in: Tensor, kv_in: Tensor, store: ParamStore, prefix: str,
               n_heads: int, causal: bool = False, return_attn: bool = False,
-              past: dict | None = None):
+              past: dict | None = None, rows=None):
     """Multi-head attention; `q_in` attends over `kv_in` (equal for self).
 
-    q_in: T_q x D, kv_in: T_k x D. Causal masking adds NEG_INF above the
-    diagonal, which underflows to an exact zero weight, so future positions
-    contribute nothing bit-wise. `past`, when given, holds the K and V
+    q_in: T_q x D, kv_in: T_k x D; `rows`, when given, picks the query rows
+    of `q_in`. Causal masking adds NEG_INF where a key's index exceeds the
+    query's position, which underflows to an exact zero weight, so future
+    positions contribute nothing bit-wise. `past`, when given, holds the K and V
     (T x D row arrays, no tape) of the rows before `kv_in`: the queries
-    attend over past + new rows, the mask's diagonal shifts by the past
-    length, and `past` is updated to cover the new rows too.
+    attend over past + new rows, and `past` is updated to cover the new rows too.
     """
-    q = linear(q_in, store, f"{prefix}.q")
+    q = linear(q_in if rows is None else tslice(q_in, rows), store, f"{prefix}.q")
     k = linear(kv_in, store, f"{prefix}.k")
     v = linear(kv_in, store, f"{prefix}.v")
     if past is not None:
@@ -77,8 +77,9 @@ def attention(q_in: Tensor, kv_in: Tensor, store: ParamStore, prefix: str,
             k = concat([Tensor(past["k"]), k])
             v = concat([Tensor(past["v"]), v])
         past["k"], past["v"] = k.data, v.data
-    mask = np.triu(np.full((q.shape[0], k.shape[0]), NEG_INF),
-                   k=1 + k.shape[0] - q.shape[0]) if causal else None
+    at = np.arange(q_in.shape[0]) if rows is None else np.asarray(rows)
+    mask = np.where(np.arange(k.shape[0]) > at[:, None] + k.shape[0] - q_in.shape[0],
+                    NEG_INF, 0.0) if causal else None
     heads, weights = attend(q, k, v, n_heads, mask)
     out = linear(heads, store, f"{prefix}.o")
     if return_attn:
@@ -87,11 +88,12 @@ def attention(q_in: Tensor, kv_in: Tensor, store: ParamStore, prefix: str,
 
 
 def block(x: Tensor, store: ParamStore, prefix: str, n_heads: int,
-          causal: bool = False, past: dict | None = None) -> Tensor:
-    """Pre-norm transformer block: attention residual, then MLP residual."""
+          causal: bool = False, past: dict | None = None, rows=None) -> Tensor:
+    """Pre-norm transformer block: attention residual, then MLP residual.
+    Only `rows` of x (all when None) run the queries, residuals and MLP."""
     h = layer_norm(x)
-    x = add(x, attention(h, h, store, f"{prefix}.attn", n_heads, causal=causal,
-                         past=past))
+    x = add(x if rows is None else tslice(x, rows), attention(
+        h, h, store, f"{prefix}.attn", n_heads, causal=causal, past=past, rows=rows))
     x = add(x, mlp_gelu(layer_norm(x), store, f"{prefix}.mlp"))
     return x
 

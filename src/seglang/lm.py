@@ -2,10 +2,11 @@
 
 Text tokens and seg slots embed through the token table; feature blocks
 splice their rows straight into the input matrix. All positions share one
-learned absolute positional table. The forward pass returns full logits
-plus one SegState per seg slot (the final-layer hidden at that position
-and the logits the output head produces from it). With a DecodeCache a pass
-runs only the rows appended since the previous one (incremental decoding).
+learned absolute positional table. The forward pass returns the logits of
+the rows the caller reads plus one SegState per seg slot among them (the
+final-layer hidden at that position and the logits the output head produces
+from it). With a DecodeCache a pass runs only the rows appended since the
+previous one (incremental decoding).
 """
 
 from __future__ import annotations
@@ -47,11 +48,13 @@ def init_lm(store: ParamStore, cfg, vocab_size: int,
 
 
 def forward(seq: InterleavedSequence, store: ParamStore, cfg,
-            cache: DecodeCache | None = None) -> tuple[Tensor, list[SegState]]:
-    """Causal forward pass -> (T x V logits, seg states in slot order).
+            cache: DecodeCache | None = None,
+            rows=None) -> tuple[Tensor, list[SegState]]:
+    """Causal forward pass -> (logits of `rows`, their seg states in slot order).
 
-    With a cache only the rows past cache.length run, and the logits and
-    seg states cover just those rows; the cache then covers them too.
+    `rows` lists the absolute positions the caller reads, strictly increasing
+    (None: every row that runs). With a cache only the rows past cache.length
+    run, and the cache then covers them too.
     """
     token_ids, _, seg_positions, feat_spans = seq.layout()
     n = len(token_ids)
@@ -60,6 +63,10 @@ def forward(seq: InterleavedSequence, store: ParamStore, cfg,
         raise ShapeError(f"forward: empty sequence after {start} cached rows")
     if n > cfg.max_seq:
         raise ShapeError(f"sequence length {n} exceeds max_seq {cfg.max_seq}")
+    read = np.arange(start, n) if rows is None else np.asarray(rows, np.int64)
+    if not read.size or read[0] < start or read[-1] >= n or (np.diff(read) < 1).any():
+        raise ShapeError(
+            f"forward: rows {read.tolist()} not increasing in [{start}, {n})")
 
     # assemble the input matrix: embed runs of single-token elements in one
     # lookup each, splice feature blocks through unchanged
@@ -86,43 +93,45 @@ def forward(seq: InterleavedSequence, store: ParamStore, cfg,
     x = pieces[0] if len(pieces) == 1 else concat(pieces, axis=0)
     x = add(x, tslice(store["lm.pos"], slice(start, n)))
 
+    last = cfg.lm_layers - 1   # earlier blocks feed later keys and values: all rows
     for i in range(cfg.lm_layers):
         x = layers.block(x, store, f"lm.blk{i}", cfg.n_heads, causal=True,
-                         past=None if cache is None else cache.layers[i])
+                         past=None if cache is None else cache.layers[i],
+                         rows=None if rows is None or i < last else read - start)
     hidden = layer_norm(x)
     logits = layers.linear(hidden, store, "lm.head")
     if cache is not None:
         cache.length = n
 
-    seg_states = [SegState(hidden=tslice(hidden, p - start),
-                           logits=tslice(logits, p - start), position=p)
-                  for p in seg_positions if p >= start]
+    seg_states = [SegState(hidden=tslice(hidden, i), logits=tslice(logits, i),
+                           position=int(p))
+                  for i, p in enumerate(read) if p in seg_positions]
     return logits, seg_states
 
 
-def next_token_loss(logits: Tensor, targets: np.ndarray,
-                    supervised: np.ndarray) -> Tensor:
-    """Mean cross-entropy over supervised positions.
-
-    A supervised position t is scored from the logits at t-1, so position 0
-    (always the global feature block) can never carry supervision.
-    """
+def loss_rows(targets: np.ndarray,
+              supervised: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, target ids) of next-token prediction: a supervised position t is
+    scored from the logits at row t-1, so position 0 (always the global
+    feature block) can never carry supervision."""
     targets = np.asarray(targets, dtype=np.int64)
     supervised = np.asarray(supervised, dtype=bool)
-    if logits.ndim != 2 or targets.shape != (logits.shape[0],) \
-            or supervised.shape != (logits.shape[0],):
-        raise ShapeError(
-            f"next_token_loss: logits {logits.shape}, targets {targets.shape}, "
-            f"mask {supervised.shape}")
-    if supervised[0]:
+    if targets.shape != supervised.shape:
+        raise ShapeError(f"loss_rows: targets {targets.shape}, mask {supervised.shape}")
+    if supervised[:1].any():
         raise ValueError("position 0 cannot be supervised (nothing precedes it)")
     idx = np.nonzero(supervised)[0]
     if idx.size == 0:
         raise ValueError("no supervised positions")
-    logp = log_softmax(logits, axis=-1)
-    rows = tslice(logp, idx - 1)
-    picked = take_rows(rows, targets[idx])
-    return mul(tmean(picked), -1.0)
+    return idx - 1, targets[idx]
+
+
+def next_token_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean cross-entropy of each logits row against its target id."""
+    if logits.ndim != 2 or np.shape(targets) != (logits.shape[0],):
+        raise ShapeError(f"next_token_loss: logits {logits.shape}, "
+                         f"targets {np.shape(targets)}")
+    return mul(tmean(take_rows(log_softmax(logits, axis=-1), targets)), -1.0)
 
 
 def top_k_attribute(seg: SegState, subset: list[int], k: int) -> list[int]:

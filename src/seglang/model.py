@@ -71,9 +71,11 @@ class Model:
     def sample_loss(self, sample: Sample) -> losses.LossReport:
         """Combined text + mask objective for one training sample."""
         seq, f_p_raw = self.build_sequence(sample)
-        logits, seg_states = lm.forward(seq, self.store, self.cfg)
-        token_ids, supervised, _, _ = seq.layout()
-        text = lm.next_token_loss(logits, token_ids, supervised)
+        token_ids, supervised, seg_positions, _ = seq.layout()
+        scored, targets = lm.loss_rows(token_ids, supervised)
+        rows = np.union1d(scored, seg_positions)
+        logits, seg_states = lm.forward(seq, self.store, self.cfg, rows=rows)
+        text = lm.next_token_loss(logits[np.searchsorted(rows, scored)], targets)
         dims = sample.image.shape[:2]
         masks = [(maskdec.decode_mask(st.hidden, f_p_raw, dims, self.store),
                   gt.astype(np.float64))

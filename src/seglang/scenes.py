@@ -287,21 +287,28 @@ def load_split(split_dir: str, vocab: Vocab) -> list[Sample]:
     """Materialize a split into memory, tokenizing instructions/descriptions."""
     samples = []
     image_cache: dict[str, np.ndarray] = {}
-    with open(os.path.join(split_dir, "samples.jsonl"), encoding="utf-8") as f:
-        for line in f:
-            d = json.loads(line)
-            path = d["image"]
+    name = os.path.join(split_dir, "samples.jsonl")
+    with open(name, encoding="utf-8") as f:
+        for n, line in enumerate(f, 1):
+            try:
+                d = json.loads(line)
+                sid, task, ilvc, path, instruction, response = (
+                    d[k] for k in ("id", "task", "ilvc", "image",
+                                   "instruction", "response"))
+                masks = [(r["mask"], r["description"]) for r in d["regions"]]
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"{name}:{n}: bad sample record {exc!r}") \
+                    from exc
             if path not in image_cache:
                 image_cache[path] = to_unit_float(
                     read_ppm(os.path.join(split_dir, path)))
-            regions = [(read_pgm(os.path.join(split_dir, r["mask"])),
-                        vocab.encode(r["description"]))
-                       for r in d["regions"]]
+            regions = [(read_pgm(os.path.join(split_dir, mask)),
+                        vocab.encode(desc)) for mask, desc in masks]
             samples.append(Sample(
-                sample_id=d["id"], task=d["task"], ilvc=bool(d["ilvc"]),
+                sample_id=sid, task=task, ilvc=bool(ilvc),
                 image=image_cache[path], regions=regions,
-                instruction=vocab.encode(d["instruction"]),
-                response=vocab.encode(d["response"]) if d["response"] else []))
+                instruction=vocab.encode(instruction),
+                response=vocab.encode(response) if response else []))
     return samples
 
 

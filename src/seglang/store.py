@@ -7,6 +7,7 @@ the stage schedule toggles via `set_trainable`.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -15,6 +16,11 @@ from .tensor import Tensor
 
 _CKPT_MAGIC = b"SLCK0001"
 _ADAM_MAGIC = b"ADAM0001"
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file that is malformed, truncated or does not match the
+    registered parameters."""
 
 
 class ParamStore:
@@ -113,87 +119,99 @@ class ParamStore:
         When Adam has stepped, an optimizer-state trailer follows (shared
         step counter plus per-parameter moment pairs), so a warm start from
         this checkpoint continues the optimizer exactly where it stopped
-        instead of restarting its bias correction from scratch.
+        instead of restarting its bias correction from the first step. The
+        file is written beside `path` and renamed over it, so a failed write
+        never leaves a half-written checkpoint under that name.
         """
-        with open(path, "wb") as f:
-            f.write(_CKPT_MAGIC)
-            f.write(struct.pack("<I", len(self.params)))
-            for name, p in self.params.items():
-                nb = name.encode("utf-8")
-                f.write(struct.pack("<I", len(nb)))
-                f.write(nb)
-                f.write(struct.pack("<I", p.data.ndim))
-                for d in p.data.shape:
-                    f.write(struct.pack("<I", d))
-                f.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
-            if self._adam_t or self._adam_m:
-                f.write(_ADAM_MAGIC)
-                f.write(struct.pack("<I", self._adam_t))
-                f.write(struct.pack("<I", len(self._adam_m)))
-                for name, m in self._adam_m.items():
+        tmp = f"{path}.tmp"
+        try:
+            with open(tmp, "wb") as f:
+                f.write(_CKPT_MAGIC)
+                f.write(struct.pack("<I", len(self.params)))
+                for name, p in self.params.items():
                     nb = name.encode("utf-8")
                     f.write(struct.pack("<I", len(nb)))
                     f.write(nb)
-                    f.write(np.ascontiguousarray(m, dtype="<f8").tobytes())
-                    f.write(np.ascontiguousarray(self._adam_v[name],
-                                                 dtype="<f8").tobytes())
+                    f.write(struct.pack("<I", p.data.ndim))
+                    for d in p.data.shape:
+                        f.write(struct.pack("<I", d))
+                    f.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
+                if self._adam_t or self._adam_m:
+                    f.write(_ADAM_MAGIC)
+                    f.write(struct.pack("<I", self._adam_t))
+                    f.write(struct.pack("<I", len(self._adam_m)))
+                    for name, m in self._adam_m.items():
+                        nb = name.encode("utf-8")
+                        f.write(struct.pack("<I", len(nb)))
+                        f.write(nb)
+                        f.write(np.ascontiguousarray(m, dtype="<f8").tobytes())
+                        f.write(np.ascontiguousarray(self._adam_v[name],
+                                                     dtype="<f8").tobytes())
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):   # the write failed: drop the partial file
+                os.unlink(tmp)
 
     def load(self, path: str) -> None:
         """Restore values bit-exactly into already-registered parameters.
 
         If the file carries an Adam-state trailer the optimizer moments and
         step counter are restored too; otherwise Adam restarts fresh.
-        Momentum buffers for plain SGD stay process-local either way.
+        Momentum buffers for plain SGD stay process-local either way. The
+        whole file is read and checked before anything is assigned, so a
+        malformed or truncated file raises CheckpointError and leaves every
+        parameter and the optimizer state as they were.
         """
-        self.encoder_memo = None  # memoized encoder outputs would be stale
         with open(path, "rb") as f:
-            magic = f.read(len(_CKPT_MAGIC))
-            if magic != _CKPT_MAGIC:
-                raise ValueError(f"not a checkpoint file: {path}")
-            (count,) = struct.unpack("<I", f.read(4))
-            seen = set()
-            for _ in range(count):
-                (nlen,) = struct.unpack("<I", f.read(4))
-                name = f.read(nlen).decode("utf-8")
-                (ndim,) = struct.unpack("<I", f.read(4))
-                shape = tuple(struct.unpack("<I", f.read(4))[0]
-                              for _ in range(ndim))
+            def read(n: int) -> bytes:
+                raw = f.read(n)
+                if len(raw) != n:
+                    raise CheckpointError(f"{path}: truncated, wanted {n} "
+                                          f"bytes, found {len(raw)}")
+                return raw
+
+            def u32() -> int:
+                return struct.unpack("<I", read(4))[0]
+
+            def values(shape: tuple[int, ...]) -> np.ndarray:
                 size = int(np.prod(shape)) if shape else 1
-                raw = f.read(8 * size)
-                arr = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+                return np.frombuffer(read(8 * size), dtype="<f8").reshape(shape).copy()
+
+            if f.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
+                raise CheckpointError(f"not a checkpoint file: {path}")
+            params: dict[str, np.ndarray] = {}
+            for _ in range(u32()):
+                name = read(u32()).decode("utf-8", "replace")
+                shape = tuple(u32() for _ in range(u32()))
                 if name not in self.params:
-                    raise ValueError(f"checkpoint has unknown parameter {name}")
+                    raise CheckpointError(f"checkpoint has unknown parameter {name}")
                 if self.params[name].data.shape != shape:
-                    raise ValueError(
+                    raise CheckpointError(
                         f"checkpoint shape mismatch for {name}: "
                         f"{shape} vs {self.params[name].data.shape}")
-                self.params[name].data = arr
-                seen.add(name)
-            missing = set(self.params) - seen
+                params[name] = values(shape)
+            missing = set(self.params) - set(params)
             if missing:
-                raise ValueError(f"checkpoint missing parameters: {sorted(missing)}")
-            self._adam_t = 0
-            self._adam_m.clear()
-            self._adam_v.clear()
+                raise CheckpointError(f"checkpoint missing parameters: {sorted(missing)}")
+            adam_t, adam_m, adam_v = 0, {}, {}
             trailer = f.read(len(_ADAM_MAGIC))
-            if not trailer:
-                return
-            if trailer != _ADAM_MAGIC:
-                raise ValueError(f"unrecognized checkpoint trailer in {path}")
-            (self._adam_t,) = struct.unpack("<I", f.read(4))
-            (n_bufs,) = struct.unpack("<I", f.read(4))
-            for _ in range(n_bufs):
-                (nlen,) = struct.unpack("<I", f.read(4))
-                name = f.read(nlen).decode("utf-8")
-                if name not in self.params:
-                    raise ValueError(
-                        f"checkpoint optimizer state for unknown parameter {name}")
-                shape = self.params[name].data.shape
-                size = int(np.prod(shape)) if shape else 1
-                m = np.frombuffer(f.read(8 * size), dtype="<f8").reshape(shape)
-                v = np.frombuffer(f.read(8 * size), dtype="<f8").reshape(shape)
-                self._adam_m[name] = m.copy()
-                self._adam_v[name] = v.copy()
+            if trailer:
+                if trailer != _ADAM_MAGIC:
+                    raise CheckpointError(f"unrecognized checkpoint trailer in {path}")
+                adam_t = u32()
+                for _ in range(u32()):
+                    name = read(u32()).decode("utf-8", "replace")
+                    if name not in self.params:
+                        raise CheckpointError(
+                            f"checkpoint optimizer state for unknown parameter {name}")
+                    shape = self.params[name].data.shape
+                    adam_m[name], adam_v[name] = values(shape), values(shape)
+                if f.read(1):
+                    raise CheckpointError(f"{path}: bytes after the optimizer state")
+        for name, arr in params.items():
+            self.params[name].data = arr
+        self._adam_t, self._adam_m, self._adam_v = adam_t, adam_m, adam_v
+        self.encoder_memo = None  # memoized encoder outputs would be stale
 
 
 def grad_check(store: ParamStore, loss_fn, h: float = 1e-5,

@@ -143,12 +143,12 @@ def eval_refseg(model: Model, data_dir: str, ilvc_enabled: bool,
     total = 0
     for s in interleaved:
         seq, _ = model.build_sequence(s)
-        logits, _ = lm.forward(seq, model.store, model.cfg)
-        token_ids, _, _, _ = seq.layout()
-        for p in description_positions(seq):
-            total += 1
-            if int(np.argmax(logits.data[p - 1])) == token_ids[p]:
-                correct += 1
+        positions = description_positions(seq)
+        if positions:
+            logits, _ = lm.forward(seq, model.store, model.cfg,
+                                   rows=np.subtract(positions, 1))
+            correct += int((logits.data.argmax(1) == seq.layout()[0][positions]).sum())
+            total += len(positions)
     desc_acc = correct / total if total else 0.0
     return {"metrics": report.to_dict(), "desc_token_acc": desc_acc,
             "desc_tokens": total, "n_samples": len(seg_samples),
@@ -186,7 +186,7 @@ def seg_state_for(model: Model, image: np.ndarray, referring: str):
     f_g, _ = model.encode_image(image)
     seq = build_inference_prefix(f_g, instruction, model.vocab)
     seq.append_seg(1, supervised=False)
-    _, seg_states = lm.forward(seq, model.store, model.cfg)
+    _, seg_states = lm.forward(seq, model.store, model.cfg, rows=[len(seq) - 1])
     return seg_states[0]
 
 

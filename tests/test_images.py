@@ -66,6 +66,47 @@ def test_short_body_names_the_file_and_size(tmp_path, magic, read, size):
         read(str(p))
 
 
+@pytest.mark.parametrize("header,field", [(b"P6\nab 2\n255\n", "width"),
+                                          (b"P5\n2 x2\n255\n", "height"),
+                                          (b"P6\n2 2\n-1\n", "maxval")])
+def test_non_numeric_header_field_is_named(tmp_path, header, field):
+    p = tmp_path / "odd"
+    p.write_bytes(header + bytes(12))
+    read = read_ppm if header.startswith(b"P6") else read_pgm
+    with pytest.raises(ValueError, match=f"odd: netpbm {field} b'.*' is not"):
+        read(str(p))
+
+
+@pytest.mark.parametrize("magic,read", [(b"P6", read_ppm), (b"P5", read_pgm)])
+def test_header_fuzz_loads_or_names_the_file(tmp_path, magic, read):
+    # random byte edits to a valid header either still parse or raise a
+    # ValueError that names the file, never a bare parser error
+    rng = np.random.default_rng(12)
+    header = bytearray(magic + b"\n# c\n3 2\n255\n")
+    body = bytes(range(3 * 2 * 3))
+    alphabet = b"0123456789 \n\t#-+xa\xff\x00"
+    p = tmp_path / "fuzzed"
+    for _ in range(300):
+        edited = bytearray(header)
+        for _ in range(int(rng.integers(1, 4))):
+            at = int(rng.integers(2, len(edited) + 1))
+            byte = alphabet[int(rng.integers(len(alphabet)))]
+            op = int(rng.integers(3))
+            if op == 0 and at < len(edited):
+                edited[at] = byte
+            elif op == 1:
+                edited.insert(at, byte)
+            elif at < len(edited):
+                del edited[at]
+        p.write_bytes(bytes(edited) + body)
+        try:
+            arr = read(str(p))
+        except ValueError as exc:
+            assert str(p) in str(exc)
+        else:
+            assert arr.ndim == (3 if magic == b"P6" else 2)
+
+
 def test_to_unit_float_range():
     img = np.array([[[0, 128, 255]]], dtype=np.uint8)
     out = to_unit_float(img)

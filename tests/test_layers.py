@@ -137,6 +137,68 @@ def test_block_grads_match_the_unfused_tape(monkeypatch):
     assert all(np.array_equal(fused[n], chain[n]) for n in fused)
 
 
+@pytest.mark.parametrize("t_past", [0, 3])
+def test_causal_mask_is_the_triu_mask(monkeypatch, t_past):
+    # the `key index > query position` mask equals the triu mask bit for
+    # bit, so a block without query rows keeps its outputs and gradients
+    rng = np.random.default_rng(34)
+    store = ParamStore()
+    init_block(store, "b", 6, rng)
+    head, x = rng.standard_normal((t_past, 6)), rng.standard_normal((5, 6))
+    w = rng.standard_normal((5, 6))
+    masks = []
+
+    def run():
+        past: dict = {}
+        if t_past:
+            block(Tensor(head), store, "b", 2, causal=True, past=past)
+        xt = Tensor(x, requires_grad=True)
+        out = block(xt, store, "b", 2, causal=True, past=past)
+        T.tsum(out * Tensor(w)).backward()
+        grads = {n: p.grad for n, p in store.params.items()}
+        store.zero_grad()
+        return out.data, xt.grad, grads
+
+    def triu_attend(q, k, v, n_heads, mask):
+        want = np.triu(np.full((q.shape[0], k.shape[0]), NEG_INF),
+                       k=1 + k.shape[0] - q.shape[0])
+        masks.append((mask, want))
+        return T.attend(q, k, v, n_heads, want)
+
+    got = run()
+    monkeypatch.setattr(layers, "attend", triu_attend)
+    want = run()
+    assert len(masks) == (2 if t_past else 1)
+    assert all(np.array_equal(a, b) for a, b in masks)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert all(np.array_equal(got[2][n], want[2][n]) for n in got[2])
+
+
+@pytest.mark.parametrize("t_past", [0, 3])
+def test_block_query_rows_match_the_full_block(t_past):
+    rng = np.random.default_rng(35)
+    store = ParamStore()
+    init_block(store, "b", 6, rng)
+    x = rng.standard_normal((t_past + 6, 6))
+    rows = np.array([0, 2, 5])
+
+    def run(rows):
+        past: dict = {}
+        if t_past:
+            block(Tensor(x[:t_past]), store, "b", 2, causal=True, past=past)
+        out = block(Tensor(x[t_past:]), store, "b", 2, causal=True,
+                    past=past, rows=rows)
+        return out.data, past
+
+    full, full_past = run(None)
+    part, part_past = run(rows)
+    assert part.shape == (3, 6)
+    assert np.max(np.abs(part - full[rows])) <= 1e-12
+    # the keys and values still cover every row
+    for name in ("k", "v"):
+        assert np.array_equal(part_past[name], full_past[name])
+
+
 def test_mlp_matches_manual():
     rng = np.random.default_rng(1)
     store = ParamStore()

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from seglang import lm
+from seglang.config import RunConfig
 from seglang.lm import DecodeCache, SegState, next_token_loss, top_k_attribute
-from seglang.model import Model
+from seglang.model import ALL_PREFIXES, Model
 from seglang.scenes import default_vocab
 from seglang.sequence import InterleavedSequence
-from seglang.tensor import ShapeError, Tensor
+from seglang.tensor import ShapeError, Tensor, concat, tslice, tsum
 from seglang.training import make_toy_config, make_toy_sample
 
 
@@ -72,6 +73,76 @@ def test_max_seq_and_width_guards():
         lm.forward(InterleavedSequence(vocab), model.store, cfg)
 
 
+# ---- read rows --------------------------------------------------------------
+
+@pytest.mark.parametrize("cfg", [make_toy_config(s) for s in range(4)]
+                         + [RunConfig(seed=11)],
+                         ids=[f"toy{s}" for s in range(4)] + ["default"])
+def test_read_rows_match_the_full_rows(cfg):
+    # the loss rows plus the seg slots, run pruned and sliced out of a full
+    # pass: logits, seg states, the loss and every gradient agree
+    vocab = default_vocab()
+    model = Model(cfg, vocab, np.random.default_rng(cfg.seed))
+    model.store.set_trainable(ALL_PREFIXES)
+    sample = make_toy_sample(cfg, np.random.default_rng(cfg.seed + 50), vocab,
+                             n_regions=2, ilvc=True, with_response=True)
+    weights = np.random.default_rng(cfg.seed + 60).standard_normal(
+        (2, cfg.d_model + len(vocab)))
+
+    def run(pruned):
+        seq, _ = model.build_sequence(sample)
+        token_ids, supervised, seg_positions, _ = seq.layout()
+        scored, targets = lm.loss_rows(token_ids, supervised)
+        rows = np.union1d(scored, seg_positions)
+        if pruned:
+            logits, states = lm.forward(seq, model.store, cfg, rows=rows)
+        else:
+            full, states = lm.forward(seq, model.store, cfg)
+            logits = tslice(full, rows)
+        loss = next_token_loss(tslice(logits, np.searchsorted(rows, scored)),
+                               targets)
+        total = loss
+        for st, w in zip(states, weights):
+            total = total + tsum(concat([st.hidden, st.logits]) * Tensor(w))
+        model.store.zero_grad()
+        total.backward()
+        grads = {n: p.grad for n, p in model.store.params.items()
+                 if p.grad is not None}
+        return len(seq), rows, logits.data, states, loss.item(), grads
+
+    n, rows, logits, states, loss, grads = run(True)
+    _, _, want_logits, want_states, want_loss, want_grads = run(False)
+    assert len(rows) < n and logits.shape == (len(rows), len(vocab))
+    assert np.max(np.abs(logits - want_logits)) <= 1e-12
+    assert [st.position for st in states] == [st.position for st in want_states]
+    assert len(states) == 2
+    for got, want in zip(states, want_states):
+        assert np.max(np.abs(got.hidden.data - want.hidden.data)) <= 1e-12
+        assert np.max(np.abs(got.logits.data - want.logits.data)) <= 1e-12
+    assert abs(loss - want_loss) <= 1e-12
+    assert grads.keys() == want_grads.keys()
+    assert any(n.startswith("lm.blk") for n in grads)
+    for name, g in grads.items():
+        assert np.max(np.abs(g - want_grads[name])) <= 1e-12, name
+
+
+def test_bad_rows_raise_a_named_error():
+    vocab, cfg, model, _, seq = toy(0)
+    n = len(seq)
+    for rows in ([3, 1], [2, 2], [-1], [n], []):
+        with pytest.raises(ShapeError, match="rows"):
+            lm.forward(seq, model.store, cfg, rows=rows)
+    part = InterleavedSequence(vocab)
+    part.elements = list(seq.elements[:-1])
+    cache = DecodeCache(cfg.lm_layers)
+    lm.forward(part, model.store, cfg, cache, rows=[len(part) - 1])
+    with pytest.raises(ShapeError, match="rows"):
+        lm.forward(seq, model.store, cfg, cache, rows=[n - 2, n - 1])
+    assert cache.length == n - 1   # a refused pass leaves the cache alone
+    logits, _ = lm.forward(seq, model.store, cfg, cache, rows=[n - 1])
+    assert logits.shape == (1, len(vocab))
+
+
 # ---- loss -------------------------------------------------------------------
 
 def ce_oracle(logits, targets, supervised):
@@ -88,6 +159,12 @@ def ce_oracle(logits, targets, supervised):
     return total / count
 
 
+def full_row_loss(logits, targets, supervised):
+    """next_token_loss over a full T x V logits matrix."""
+    rows, picked = lm.loss_rows(targets, supervised)
+    return next_token_loss(tslice(logits, rows), picked)
+
+
 def test_next_token_loss_matches_oracle():
     rng = np.random.default_rng(4)
     for trial in range(5):
@@ -98,7 +175,7 @@ def test_next_token_loss_matches_oracle():
         supervised[0] = False
         if not supervised.any():
             supervised[3] = True
-        got = next_token_loss(Tensor(logits), targets, supervised).item()
+        got = full_row_loss(Tensor(logits), targets, supervised).item()
         want = ce_oracle(logits, targets, supervised)
         assert abs(got - want) < 1e-12
 
@@ -108,11 +185,11 @@ def test_loss_only_reads_predecessor_rows():
     logits = rng.standard_normal((6, 8))
     targets = rng.integers(0, 8, 6)
     supervised = np.array([False, True, False, False, True, False])
-    base = next_token_loss(Tensor(logits), targets, supervised).item()
+    base = full_row_loss(Tensor(logits), targets, supervised).item()
     messed = logits.copy()
     messed[2] += 10.0   # position 2 precedes nothing supervised
     messed[5] += 10.0   # final row precedes nothing at all
-    assert next_token_loss(Tensor(messed), targets, supervised).item() == base
+    assert full_row_loss(Tensor(messed), targets, supervised).item() == base
 
 
 def test_loss_gradient_reaches_only_used_rows():
@@ -120,7 +197,7 @@ def test_loss_gradient_reaches_only_used_rows():
     logits = Tensor(rng.standard_normal((5, 7)), requires_grad=True)
     targets = rng.integers(0, 7, 5)
     supervised = np.array([False, True, True, False, False])
-    next_token_loss(logits, targets, supervised).backward()
+    full_row_loss(logits, targets, supervised).backward()
     used = {0, 1}
     for t in range(5):
         row = logits.grad[t]
@@ -133,12 +210,14 @@ def test_loss_gradient_reaches_only_used_rows():
 def test_loss_input_validation():
     logits = Tensor(np.zeros((4, 5)))
     with pytest.raises(ValueError, match="position 0"):
-        next_token_loss(logits, np.zeros(4, dtype=int),
-                        np.array([True, False, False, False]))
+        full_row_loss(logits, np.zeros(4, dtype=int),
+                      np.array([True, False, False, False]))
     with pytest.raises(ValueError, match="no supervised"):
-        next_token_loss(logits, np.zeros(4, dtype=int), np.zeros(4, dtype=bool))
+        full_row_loss(logits, np.zeros(4, dtype=int), np.zeros(4, dtype=bool))
     with pytest.raises(ShapeError):
-        next_token_loss(logits, np.zeros(3, dtype=int), np.zeros(4, dtype=bool))
+        full_row_loss(logits, np.zeros(3, dtype=int), np.zeros(4, dtype=bool))
+    with pytest.raises(ShapeError, match="next_token_loss"):
+        next_token_loss(logits, np.zeros(3, dtype=int))
 
 
 # ---- decoding helpers -------------------------------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -154,6 +155,21 @@ def test_split_layout_and_contents(tiny_split):
             assert s.regions == []
         if s.task == "gcg":
             assert s.ilvc and len(s.regions) >= 1
+
+
+@pytest.mark.parametrize("bad,why", [("{not json", "JSONDecodeError"),
+                                     ('{"id": "x1"}', "KeyError"),
+                                     ("[1, 2]", "TypeError")])
+def test_bad_sample_line_names_the_file_and_line(tiny_split, tmp_path, bad,
+                                                 why):
+    split = tmp_path / "train"
+    shutil.copytree(os.path.join(tiny_split, "train"), split)
+    lines = (split / "samples.jsonl").read_text(encoding="utf-8").splitlines()
+    lines.insert(2, bad)
+    (split / "samples.jsonl").write_text("\n".join(lines) + "\n",
+                                         encoding="utf-8")
+    with pytest.raises(ValueError, match=f"samples.jsonl:3: .*{why}"):
+        load_split(str(split), default_vocab())
 
 
 def test_attr_records_align_with_masks(tiny_split):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from seglang.store import ParamStore, grad_check
+from seglang.store import CheckpointError, ParamStore, grad_check
 from seglang.tensor import Tensor, tsum
 
 
@@ -201,6 +201,102 @@ def test_checkpoint_validation(tmp_path):
     junk.write_bytes(b"definitely not a checkpoint")
     with pytest.raises(ValueError, match="not a checkpoint"):
         small_store().load(str(junk))
+
+
+def stepped_store(seed):
+    """small_store with random values and two Adam steps on some params."""
+    store = small_store()
+    rng = np.random.default_rng(seed)
+    for p in store.params.values():
+        p.data = rng.standard_normal(p.data.shape)
+    store.set_trainable(("enc.", "head.s"))
+    for _ in range(2):
+        for name in ("enc.w", "head.s"):
+            store[name].grad = rng.standard_normal(store[name].data.shape)
+        store.adam_step(lr=0.1)
+    store.set_trainable(("enc.", "head."))
+    return store
+
+
+def record_ends(store):
+    """Byte offset where each field group of a saved checkpoint ends: the
+    header, every parameter record, the optimizer header, every moment pair."""
+    pos = 8 + 4
+    ends = [pos]
+    for name, p in store.params.items():
+        pos += 4 + len(name) + 4 + 4 * p.data.ndim + 8 * p.data.size
+        ends.append(pos)
+    pos += 8 + 4 + 4
+    ends.append(pos)
+    for name, m in store._adam_m.items():
+        pos += 4 + len(name) + 16 * m.size
+        ends.append(pos)
+    return ends
+
+
+def snapshot(store):
+    return ({n: p.data.copy() for n, p in store.params.items()},
+            store._adam_t,
+            {n: (m.copy(), store._adam_v[n].copy())
+             for n, m in store._adam_m.items()})
+
+
+def assert_same_state(a, b):
+    (pa, ta, ma), (pb, tb, mb) = a, b
+    assert pa.keys() == pb.keys() and ta == tb and ma.keys() == mb.keys()
+    assert all(np.array_equal(pa[n], pb[n]) for n in pa)
+    assert all(np.array_equal(ma[n][i], mb[n][i]) for n in ma for i in (0, 1))
+
+
+def test_truncated_checkpoint_leaves_the_store_unchanged(tmp_path):
+    src = stepped_store(3)
+    path = tmp_path / "full.ckpt"
+    src.save(str(path))
+    data = path.read_bytes()
+    ends = record_ends(src)
+    assert ends[-1] == len(data)
+    rng = np.random.default_rng(7)
+    cuts = sorted(set(ends[:-1]) | {0, 3, 10}
+                  | set(rng.integers(1, len(data), 40).tolist()))
+    victim = stepped_store(4)
+    victim.encoder_memo = {}
+    before = snapshot(victim)
+    cut_path = tmp_path / "cut.ckpt"
+    params_end = ends[len(src.params)]
+    for cut in cuts:
+        cut_path.write_bytes(data[:cut])
+        if cut == params_end:
+            continue   # a checkpoint without optimizer state: loads below
+        with pytest.raises(CheckpointError):
+            victim.load(str(cut_path))
+        assert_same_state(snapshot(victim), before)
+        assert victim.encoder_memo == {}
+    # extra bytes after the optimizer state are refused as well
+    cut_path.write_bytes(data + b"\0")
+    with pytest.raises(CheckpointError, match="after the optimizer state"):
+        victim.load(str(cut_path))
+    assert_same_state(snapshot(victim), before)
+
+    # the cut that drops the whole optimizer state is a valid checkpoint
+    cut_path.write_bytes(data[:params_end])
+    victim.load(str(cut_path))
+    params, t, moments = snapshot(victim)
+    assert t == 0 and not moments
+    assert_same_state((params, 0, {}), (snapshot(src)[0], 0, {}))
+    victim.load(str(path))
+    assert_same_state(snapshot(victim), snapshot(src))
+
+
+def test_checkpoint_save_replaces_the_file_whole(tmp_path):
+    path = tmp_path / "a.ckpt"
+    stepped_store(5).save(str(path))
+    saved = path.read_bytes()
+    broken = stepped_store(6)
+    broken["head.s"].data = np.array("not a float")  # the last record fails
+    with pytest.raises(ValueError):
+        broken.save(str(path))
+    assert path.read_bytes() == saved
+    assert [f.name for f in tmp_path.iterdir()] == ["a.ckpt"]  # no partial file left
 
 
 # ---- finite-difference checker ----------------------------------------------
