@@ -56,6 +56,10 @@ class RunConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
+        if min(self.d_model, self.n_heads, self.lm_layers, self.enc_blocks,
+               self.d_sem, self.d_pix, self.patch, self.canvas, self.local_res,
+               self.max_seq) < 1:
+            raise ValueError("model shape values must be positive")
         if self.stage not in (1, 2):
             raise ValueError(f"stage must be 1 or 2, got {self.stage}")
         if self.local_res % self.patch:
@@ -85,14 +89,29 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str | None = None, overrides: dict | None = None) -> "RunConfig":
+        """The file's JSON object over the defaults, then non-None overrides.
+        A file that is not valid JSON, not an object, or holds an unknown key
+        or a value of the wrong type raises a ValueError naming the file."""
         fields = {}
         if path:
             with open(path, encoding="utf-8") as f:
-                loaded = json.load(f)
-            known = {f.name for f in dataclasses.fields(cls)}
-            unknown = set(loaded) - known
+                try:
+                    loaded = json.load(f)
+                except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
+                    raise ValueError(f"{path}: not valid JSON: {exc}") from None
+            if not isinstance(loaded, dict):
+                raise ValueError(f"{path}: config must be a JSON object, "
+                                 f"got {type(loaded).__name__}")
+            kinds = {f.name: type(f.default) for f in dataclasses.fields(cls)}
+            unknown = set(loaded) - set(kinds)
             if unknown:
-                raise ValueError(f"unknown config keys: {sorted(unknown)}")
+                raise ValueError(f"{path}: unknown config keys: {sorted(unknown)}")
+            for key, value in loaded.items():
+                want = kinds[key]   # a float field also takes a JSON integer
+                if isinstance(value, bool) != (want is bool) or not isinstance(
+                        value, (int, float) if want is float else want):
+                    raise ValueError(f"{path}: {key!r} must be {want.__name__}, "
+                                     f"got {value!r}")
             fields.update(loaded)
         if overrides:
             fields.update({k: v for k, v in overrides.items() if v is not None})

@@ -1,8 +1,11 @@
 """Token-driven generation loop with mask and crop events.
 
-Decoding proceeds one token at a time over the interleaved sequence: one
-prefill pass over the prefix, then one cached LM call per step over the rows
-that step appended; each reads only its last row's logits. A seg token
+Decoding proceeds one token at a time over the interleaved sequence: a
+prefill of the feature block alone plus one chunk for the instruction on a
+fork of its cache, then one cached LM call per step over the rows that step
+appended; each reads only its last row's logits. A frozen model keeps the
+last image's feature block and its cache, so questions in a row about one
+image encode it and prefill its block once. A seg token
 triggers mask decoding against the cached raw pixel features and becomes the
 current mask; a region-marker token crops the current mask's bounding box,
 encodes it through the semantic branch, and splices the features into the
@@ -73,6 +76,36 @@ def run_scripted(model: Model, image: np.ndarray, instruction: list[int],
                     max_steps=len(script), policy=lambda row: next(it))
 
 
+def prefill(model: Model, image: np.ndarray, instruction: list[int],
+            seg_slot: bool = False):
+    """Two-chunk prefill -> (seq, f_p_raw, cache, last-row logits, seg states):
+    the feature block alone fills a DecodeCache, then the instruction (and a
+    forced seg slot) runs on a fork of it. A store with no parameter that
+    requires grad keeps the last image's block; a hit runs the same chunks,
+    so no output depends on the memo."""
+    cfg, store = model.cfg, model.store
+    img = sefe.check_image(image, cfg.patch)
+    key = sefe.image_key(img)
+    frozen = not any(p.requires_grad for p in store.params.values())
+    memo = store.prefix_memo
+    if not frozen or memo is None or memo[0] != key:
+        f_g, f_p_raw = model.encode_image(img)
+        cache = lm.DecodeCache(cfg.lm_layers)
+        logits, _ = lm.forward(sequence.build_inference_prefix(f_g, [], model.vocab),
+                               store, cfg, cache, rows=[f_g.tokens - 1])
+        memo = (key, f_g, f_p_raw, cache, logits)
+        store.prefix_memo = memo if frozen else None
+    _, f_g, f_p_raw, cache, logits = memo
+    cache = cache.fork()
+    seq = sequence.build_inference_prefix(f_g, instruction, model.vocab)
+    if seg_slot:
+        seq.append_seg(1, supervised=False)
+    seg_states = []
+    if len(seq) > cache.length:   # an empty instruction reads the block's last row
+        logits, seg_states = lm.forward(seq, store, cfg, cache, rows=[len(seq) - 1])
+    return seq, f_p_raw, cache, logits, seg_states
+
+
 def _episode(model: Model, image: np.ndarray, instruction: list[int],
              ilvc_enabled: bool, max_steps: int, policy,
              region_hook=None, record_logits: bool = False) -> GenerationResult:
@@ -80,10 +113,7 @@ def _episode(model: Model, image: np.ndarray, instruction: list[int],
         raise ValueError("max_steps must be at least 1")
     cfg, vocab, store = model.cfg, model.vocab, model.store
     # one front-end pass per episode; every mask decode reuses f_p_raw
-    f_g, f_p_raw = model.encode_image(image)
-    seq = sequence.build_inference_prefix(f_g, instruction, vocab)
-    cache = lm.DecodeCache(cfg.lm_layers)
-    logits, _ = lm.forward(seq, store, cfg, cache, rows=[len(seq) - 1])
+    seq, f_p_raw, cache, logits, _ = prefill(model, image, instruction)
 
     masks: list[np.ndarray] = []
     output: list[int] = []

@@ -6,7 +6,8 @@ learned absolute positional table. The forward pass returns the logits of
 the rows the caller reads plus one SegState per seg slot among them (the
 final-layer hidden at that position and the logits the output head produces
 from it). With a DecodeCache a pass runs only the rows appended since the
-previous one (incremental decoding).
+previous one (incremental decoding); the engine prefills the feature block
+alone and runs the instruction on a fork of that cache.
 """
 
 from __future__ import annotations
@@ -36,6 +37,13 @@ class DecodeCache:
     def __init__(self, n_layers: int):
         self.length = 0
         self.layers: list[dict] = [{} for _ in range(n_layers)]
+
+    def fork(self) -> "DecodeCache":
+        """A copy sharing the arrays, which `layers.attention` rebinds and never
+        writes into: rows run on the copy leave this cache as it was."""
+        twin = DecodeCache(0)
+        twin.length, twin.layers = self.length, [dict(d) for d in self.layers]
+        return twin
 
 
 def init_lm(store: ParamStore, cfg, vocab_size: int,

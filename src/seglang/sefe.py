@@ -52,6 +52,11 @@ def check_image(img: np.ndarray, patch: int) -> np.ndarray:
     return img
 
 
+def image_key(img: np.ndarray) -> tuple:
+    """Memo key of an image `check_image` returned: shape and pixel digest."""
+    return img.shape, hashlib.blake2b(img.tobytes()).digest()
+
+
 def init_encoder(store: ParamStore, prefix: str, d_enc: int, patch: int,
                  max_tokens: int, n_blocks: int,
                  rng: np.random.Generator) -> None:
@@ -68,7 +73,7 @@ def encode(img: np.ndarray, store: ParamStore, prefix: str, patch: int,
     img = check_image(img, patch)
     memo = store.encoder_memo
     if memo is not None:
-        key = (prefix, img.shape, hashlib.blake2b(img.tobytes()).digest())
+        key = (prefix, *image_key(img))
         if key in memo:
             return memo[key]
     gh, gw = img.shape[0] // patch, img.shape[1] // patch

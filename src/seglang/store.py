@@ -31,6 +31,7 @@ class ParamStore:
         self._adam_v: dict[str, np.ndarray] = {}
         self._adam_t = 0
         self.encoder_memo: dict | None = None  # sefe.frozen_encoder_memo
+        self.prefix_memo: tuple | None = None  # engine.prefill, frozen stores only
 
     def add(self, name: str, tensor: Tensor) -> Tensor:
         if name in self.params:
@@ -56,7 +57,7 @@ class ParamStore:
         Every other parameter gets requires_grad=False so the tape never
         reaches it. Returns the trainable names, in insertion order.
         """
-        self.encoder_memo = None  # an encoder may train now
+        self.encoder_memo = self.prefix_memo = None  # a parameter may train now
         chosen = []
         for name, p in self.params.items():
             on = any(name.startswith(pre) for pre in prefixes)
@@ -211,7 +212,7 @@ class ParamStore:
         for name, arr in params.items():
             self.params[name].data = arr
         self._adam_t, self._adam_m, self._adam_v = adam_t, adam_m, adam_v
-        self.encoder_memo = None  # memoized encoder outputs would be stale
+        self.encoder_memo = self.prefix_memo = None  # memoized outputs would be stale
 
 
 def grad_check(store: ParamStore, loss_fn, h: float = 1e-5,

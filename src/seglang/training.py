@@ -22,7 +22,6 @@ from .config import RunConfig
 from .images import read_ppm, to_unit_float
 from .model import ALL_PREFIXES, Model
 from .scenes import Sample, default_vocab, load_attr_records, load_split
-from .sequence import build_inference_prefix
 from .store import grad_check
 from .vocab import Vocab
 
@@ -183,10 +182,7 @@ def seg_state_for(model: Model, image: np.ndarray, referring: str):
     """SegState at a forced seg slot after a direct segmentation prompt."""
     instruction = engine.prompt_template("refseg", False, model.vocab) \
         + model.vocab.encode(referring)
-    f_g, _ = model.encode_image(image)
-    seq = build_inference_prefix(f_g, instruction, model.vocab)
-    seq.append_seg(1, supervised=False)
-    _, seg_states = lm.forward(seq, model.store, model.cfg, rows=[len(seq) - 1])
+    *_, seg_states = engine.prefill(model, image, instruction, seg_slot=True)
     return seg_states[0]
 
 

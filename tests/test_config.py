@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from seglang.config import RunConfig
@@ -32,6 +33,9 @@ def test_vocab_path_overrides_data_dir():
     dict(alpha=-1),
     dict(dice_eps=0),
     dict(ce_eps=0),
+    dict(patch=0),               # would divide by zero
+    dict(n_heads=0),
+    dict(max_seq=-1),
 ])
 def test_invalid_shapes_rejected(bad):
     with pytest.raises(ValueError):
@@ -58,3 +62,63 @@ def test_overrides_win_and_none_is_ignored(tmp_path):
     cfg = RunConfig.load(str(path), overrides={"steps": 9, "lr": None})
     assert cfg.steps == 9
     assert cfg.lr == 0.5
+
+
+@pytest.mark.parametrize("text, match", [
+    ("{\"steps\": 5,", "not valid JSON"),
+    ("\xff", "not valid JSON"),
+    ("[1, 2]", "must be a JSON object, got list"),
+    ("null", "must be a JSON object, got NoneType"),
+    ("{\"d_model\": \"64\"}", "'d_model' must be int"),
+    ("{\"steps\": 2.5}", "'steps' must be int"),
+    ("{\"steps\": true}", "'steps' must be int"),
+    ("{\"lr\": false}", "'lr' must be float"),
+    ("{\"ilvc_enabled\": 1}", "'ilvc_enabled' must be bool"),
+    ("{\"data_dir\": null}", "'data_dir' must be str"),
+])
+def test_load_names_the_file_for_malformed_content(tmp_path, text, match):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(ValueError, match=match) as err:
+        RunConfig.load(str(path))
+    assert type(err.value) is ValueError and str(path) in str(err.value)
+
+
+def test_load_takes_an_integer_for_a_float_field(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"lr": 1, "alpha": 0}))
+    cfg = RunConfig.load(str(path))
+    assert cfg.lr == 1 and cfg.alpha == 0
+
+
+def test_truncated_or_flipped_config_fails_closed(tmp_path):
+    """Every cut and random byte flip of a saved config either loads or raises
+    a plain ValueError; one whose bytes are no JSON object names the file."""
+    good = tmp_path / "good.json"
+    RunConfig(d_model=32, steps=7, data_dir="x").save(str(good))
+    data = good.read_bytes()
+    rng = np.random.default_rng(0)
+    variants = [data[:cut] for cut in range(len(data))]
+    for _ in range(300):
+        flipped = bytearray(data)
+        flipped[int(rng.integers(len(data)))] ^= int(rng.integers(1, 256))
+        variants.append(bytes(flipped))
+    path = tmp_path / "bad.json"
+    outcomes = {"loaded": 0, "rejected": 0}
+    for raw in variants:
+        path.write_bytes(raw)
+        try:
+            RunConfig.load(str(path))
+            outcomes["loaded"] += 1
+            continue
+        except ValueError as exc:
+            assert type(exc) is ValueError, repr(exc)
+            message = str(exc)
+        outcomes["rejected"] += 1
+        try:
+            is_object = isinstance(json.loads(raw.decode("utf-8")), dict)
+        except ValueError:
+            is_object = False
+        if not is_object:
+            assert str(path) in message, message
+    assert outcomes["loaded"] and outcomes["rejected"]

@@ -6,6 +6,7 @@ of the state machine can be forced. The emptiness of decoded masks is
 controlled by zeroing the mask projector and setting its scalar bias.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -14,13 +15,14 @@ import pytest
 from seglang import lm, maskdec
 from seglang.config import RunConfig
 from seglang.conformance import project_trace, reference_events
-from seglang.engine import (_episode, dump_trace, generate, prompt_template,
-                            run_scripted)
+from seglang.engine import (_episode, dump_trace, generate, prefill,
+                            prompt_template, run_scripted)
 from seglang.model import Model
 from seglang.scenes import default_vocab
 from seglang.sefe import encode_local
 from seglang.sequence import build_inference_prefix, crop_region
-from seglang.training import conformance_suite, make_toy_config
+from seglang.tensor import ShapeError
+from seglang.training import conformance_suite, make_toy_config, seg_state_for
 
 
 @pytest.fixture(scope="module")
@@ -321,6 +323,86 @@ def test_cached_decoding_matches_full_recompute(cfg):
                                     max_steps, steered())
     assert [e["event"] for e in result.trace[:4]] == ["SEG", "CROP"] * 2
     assert_matches_oracle(result, oracle, cfg.threshold)
+
+
+@pytest.mark.parametrize("cfg", ORACLE_CONFIGS,
+                         ids=[f"toy{s}" for s in range(4)] + ["default"])
+def test_two_chunk_prefill_matches_one_pass(cfg):
+    """The feature-block chunk plus the instruction chunk against one uncached
+    lm.forward over the whole prefix, on a frozen model's memo miss and hit."""
+    vocab = default_vocab()
+    model = Model(cfg, vocab, np.random.default_rng(cfg.seed))
+    model.store.set_trainable(())
+    image = np.random.default_rng(cfg.seed + 3).random((cfg.canvas, cfg.canvas, 3))
+    instruction = prompt_template("refseg", False, vocab) + vocab.encode("the red one")
+    f_g, _ = model.encode_image(image)
+    seq = build_inference_prefix(f_g, instruction, vocab)
+    want_logits, _ = lm.forward(seq, model.store, cfg)
+    seq.append_seg(1, supervised=False)
+    _, want_states = lm.forward(seq, model.store, cfg)
+    for _ in range(2):   # the second pass starts from the memo
+        _, _, cache, logits, _ = prefill(model, image, instruction)
+        assert cache.length == len(seq) - 1
+        assert np.max(np.abs(logits.data[-1] - want_logits.data[-1])) <= 1e-12
+        assert np.argmax(logits.data[-1]) == np.argmax(want_logits.data[-1])
+        state = seg_state_for(model, image, "the red one")
+        assert state.position == want_states[-1].position
+        assert np.max(np.abs(state.hidden.data - want_states[-1].hidden.data)) <= 1e-12
+        assert np.max(np.abs(state.logits.data - want_states[-1].logits.data)) <= 1e-12
+        assert model.store.prefix_memo is not None
+
+
+def test_fuzzed_scripts_at_small_max_seq_match_the_interpreter():
+    """Random instructions and token streams with max_seq from the feature
+    block's rows up to 20 more: every trace equals the interpreter's given the
+    budget, and a prefix that does not fit raises the named ShapeError."""
+    vocab = default_vocab()
+    base = make_toy_config(0)
+    rng = np.random.default_rng(5)
+    image = rng.random((base.canvas, base.canvas, 3))
+    words = [i for i in range(len(vocab)) if i > vocab.p_close]
+    seg, mark, eos = vocab.seg, vocab.image_id, vocab.eos
+    model = Model(base, vocab)
+    feature_rows = model.encode_image(image)[0].tokens
+    crop_rows = encode_local(np.zeros((base.local_res, base.local_res, 3)),
+                             model.store, base).tokens
+    seen = set()
+    for trial in range(80):
+        max_seq = feature_rows + int(rng.integers(0, 21))
+        model = Model(dataclasses.replace(base, max_seq=max_seq), vocab,
+                      np.random.default_rng(trial))
+        model.store["segproj.w"].data[:] = 0.0
+        nonempty = bool(rng.integers(2))
+        set_nonempty(model, nonempty)
+        if trial % 2:
+            model.store.set_trainable(())   # frozen: the memo path
+        instruction = [words[int(i)] for i in
+                       rng.integers(0, len(words), int(rng.integers(0, 6)))]
+        script = [int(rng.choice([seg, mark, eos, words[int(rng.integers(len(words)))]],
+                                 p=[0.25, 0.25, 0.05, 0.45]))
+                  for _ in range(int(rng.integers(1, 26)))]
+        ilvc = bool(rng.integers(2))
+        prefix_rows = feature_rows + len(instruction)
+        if prefix_rows > max_seq:
+            with pytest.raises(ShapeError, match=f"sequence length {prefix_rows} "
+                                                 f"exceeds max_seq {max_seq}"):
+                run_scripted(model, image, instruction, script, ilvc)
+            seen.add("prefix_too_long")
+            continue
+        result = run_scripted(model, image, instruction, script, ilvc)
+        want = reference_events(script, seg, mark, eos, ilvc, nonempty,
+                                prefix_rows=prefix_rows, max_seq=max_seq,
+                                crop_rows=crop_rows)
+        assert project_trace(result.trace) == want, (trial, script)
+        assert len(result.masks) == sum(e == ("SEG",) for e in want)
+        last = want[-1][0] if want else None
+        assert result.end_reason == ("eos" if last == "EOS" else
+                                     "protocol_error" if last == "ERROR" else
+                                     "max_steps" if len(want) == len(script) else
+                                     "context_full")
+        seen.add(result.end_reason)
+    assert seen == {"prefix_too_long", "eos", "protocol_error", "max_steps",
+                    "context_full"}
 
 
 # ---- reference interpreter --------------------------------------------------

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from seglang import sefe
 from seglang.config import RunConfig
 from seglang.engine import generate, prompt_template
 from seglang.model import Model, STAGE_PREFIXES
@@ -253,3 +254,93 @@ def test_answer_is_empty_when_the_first_token_does_not_fit(toy_vocab):
     want, result = first_word_of_long_episode(model, image, QUESTION)
     assert want == "" and result.end_reason == "context_full"
     assert answer_question(model, image, QUESTION) == ""
+
+
+# ---- the frozen model's one-image prefix memo --------------------------------
+
+def frozen_toy(toy_vocab, seed=3):
+    model = Model(make_toy_config(seed), toy_vocab, np.random.default_rng(seed))
+    model.store.set_trainable(())
+    return model
+
+
+def probe_calls(model, image):
+    """What each AttrEval call returns, as plain values: the answer, the seg
+    state's hidden and logits, and a short greedy episode's tokens and logits."""
+    state = seg_state_for(model, image, "the red square")
+    episode = generate(model, image, prompt_template("gcg", True, model.vocab),
+                       True, max_steps=4, record_logits=True)
+    return [answer_question(model, image, QUESTION), state.hidden.data,
+            state.logits.data, episode.output_tokens, *episode.logits_log]
+
+
+def test_prefix_memo_outputs_equal_a_fresh_models(toy_vocab, monkeypatch):
+    rng = np.random.default_rng(4)
+    cfg = make_toy_config(3)
+    a, b = (rng.random((cfg.canvas, cfg.canvas, 3)) for _ in range(2))
+    encodes = []
+    real = sefe.sefe_forward
+    monkeypatch.setattr(sefe, "sefe_forward",
+                        lambda *args: encodes.append(1) or real(*args))
+    model = frozen_toy(toy_vocab)
+    for image, misses in ((a, 1), (b, 2), (a, 3), (a, 3)):
+        got = probe_calls(model, image)
+        assert len(encodes) == misses   # three calls, one encode per new image
+        assert model.store.prefix_memo[0] == sefe.image_key(image)
+        want = probe_calls(frozen_toy(toy_vocab), image)
+        del encodes[-1]                  # the fresh model's one encode
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+def test_prefix_memo_hit_leaves_the_stored_cache_unchanged(toy_vocab):
+    model = frozen_toy(toy_vocab)
+    cfg = model.cfg
+    image = np.random.default_rng(5).random((cfg.canvas, cfg.canvas, 3))
+    answer_question(model, image, QUESTION)
+    memo = model.store.prefix_memo
+    cache = memo[3]
+    stored = [dict(layer) for layer in cache.layers]
+    copies = [{k: v.copy() for k, v in layer.items()} for layer in cache.layers]
+    length = cache.length
+    seg_state_for(model, image, "the red square")
+    generate(model, image, prompt_template("gcg", True, model.vocab), True,
+             max_steps=6)
+    assert model.store.prefix_memo is memo and cache.length == length
+    for layer, before, copy in zip(cache.layers, stored, copies):
+        assert layer.keys() == before.keys() == {"k", "v"}
+        for k in layer:
+            assert layer[k] is before[k] and np.array_equal(layer[k], copy[k])
+
+
+def test_prefix_memo_needs_every_parameter_frozen(toy_vocab):
+    cfg = make_toy_config(3)
+    image = np.random.default_rng(6).random((cfg.canvas, cfg.canvas, 3))
+    model = Model(cfg, toy_vocab, np.random.default_rng(3))   # all trainable
+    answer_question(model, image, QUESTION)
+    assert model.store.prefix_memo is None
+    model.store.set_trainable(("lm.head.",))
+    assert seg_state_for(model, image, "the red square").logits.requires_grad
+    assert model.store.prefix_memo is None
+    model.store.set_trainable(())
+    seg_state_for(model, image, "the red square")
+    assert model.store.prefix_memo is not None
+    model.store["lm.head.w"].requires_grad = True   # bypassing set_trainable
+    assert seg_state_for(model, image, "the red square").logits.requires_grad
+    assert model.store.prefix_memo is None
+
+
+def test_prefix_memo_dropped_by_set_trainable_and_load(toy_vocab, tmp_path):
+    model = frozen_toy(toy_vocab)
+    cfg = model.cfg
+    image = np.random.default_rng(7).random((cfg.canvas, cfg.canvas, 3))
+    path = str(tmp_path / "frozen.ckpt")
+    model.save(path)
+    answer_question(model, image, QUESTION)
+    assert model.store.prefix_memo is not None
+    model.store.set_trainable(())
+    assert model.store.prefix_memo is None
+    answer_question(model, image, QUESTION)
+    model.load(path)
+    assert model.store.prefix_memo is None
