@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from . import engine, training
+from . import engine, suites, training
 from .attreval import load_probes, save_probes, build_probes
 from .config import RunConfig
 from .images import read_ppm, to_unit_float, write_pgm, write_pgm_prob
@@ -98,8 +98,8 @@ def cmd_eval(args) -> int:
               f"acc3 {report['acc3']:.4f}")
         return 0
     if args.task == "gradcheck":
-        reports = training.grad_check_suite(args.n_configs, args.sample_per_param,
-                                            cfg.seed)
+        reports = suites.grad_check_suite(args.n_configs, args.sample_per_param,
+                                          cfg.seed)
         worst = max(r["max_rel_err"] for r in reports)
         payload = {"n_configs": len(reports), "max_rel_err": worst,
                    "reports": [{k: v for k, v in r.items() if k != "worst_param"}
@@ -108,7 +108,7 @@ def cmd_eval(args) -> int:
         print(f"max rel err {worst:.2e} over {len(reports)} configs")
         return 0 if worst < 1e-4 else 1
     if args.task == "conformance":
-        report = training.conformance_suite(args.n_streams, cfg.seed)
+        report = suites.conformance_suite(args.n_streams, cfg.seed)
         _write_report(cfg, "report_conformance.json", report)
         print(f"{report['agreements']}/{report['n_streams']} traces agree")
         return 0 if not report["failures"] else 1

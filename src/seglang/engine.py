@@ -85,15 +85,16 @@ def prefill(model: Model, image: np.ndarray, instruction: list[int],
     so no output depends on the memo."""
     cfg, store = model.cfg, model.store
     img = sefe.check_image(image, cfg.patch)
-    key = sefe.image_key(img)
     frozen = not any(p.requires_grad for p in store.params.values())
     memo = store.prefix_memo
-    if not frozen or memo is None or memo[0] != key:
+    # compared bit for bit, so -0.0 and 0.0 pixels are different images
+    if not frozen or memo is None or \
+            not np.array_equal(memo[0].view(np.uint64), img.view(np.uint64)):
         f_g, f_p_raw = model.encode_image(img)
         cache = lm.DecodeCache(cfg.lm_layers)
         logits, _ = lm.forward(sequence.build_inference_prefix(f_g, [], model.vocab),
                                store, cfg, cache, rows=[f_g.tokens - 1])
-        memo = (key, f_g, f_p_raw, cache, logits)
+        memo = (img.copy(), f_g, f_p_raw, cache, logits)
         store.prefix_memo = memo if frozen else None
     _, f_g, f_p_raw, cache, logits = memo
     cache = cache.fork()

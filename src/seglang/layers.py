@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .store import ParamStore
-from .tensor import (Tensor, ShapeError, add, affine, attend, concat, gelu,
+from .tensor import (Tensor, ShapeError, add, affine, attend, gelu,
                      layer_norm, randn, tslice, zeros)
 
 NEG_INF = -1e9  # additive mask value; exp underflows to exactly 0.0
@@ -66,21 +66,18 @@ def attention(q_in: Tensor, kv_in: Tensor, store: ParamStore, prefix: str,
     of `q_in`. Causal masking adds NEG_INF where a key's index exceeds the
     query's position, which underflows to an exact zero weight, so future
     positions contribute nothing bit-wise. `past`, when given, holds the K and V
-    (T x D row arrays, no tape) of the rows before `kv_in`: the queries
+    (in `attend`'s head layout, no tape) of the rows before `kv_in`: the queries
     attend over past + new rows, and `past` is updated to cover the new rows too.
     """
     q = linear(q_in if rows is None else tslice(q_in, rows), store, f"{prefix}.q")
     k = linear(kv_in, store, f"{prefix}.k")
     v = linear(kv_in, store, f"{prefix}.v")
-    if past is not None:
-        if past:
-            k = concat([Tensor(past["k"]), k])
-            v = concat([Tensor(past["v"]), v])
-        past["k"], past["v"] = k.data, v.data
+    n_keys = k.shape[0] + (past["v"].shape[1] if past else 0)   # v: heads x T x d_head
     at = np.arange(q_in.shape[0]) if rows is None else np.asarray(rows)
-    mask = np.where(np.arange(k.shape[0]) > at[:, None] + k.shape[0] - q_in.shape[0],
-                    NEG_INF, 0.0) if causal else None
-    heads, weights = attend(q, k, v, n_heads, mask)
+    # only a query before the last row has keys in its future to mask
+    mask = np.where(np.arange(n_keys) > at[:, None] + n_keys - q_in.shape[0],
+                    NEG_INF, 0.0) if causal and (at < q_in.shape[0] - 1).any() else None
+    heads, weights = attend(q, k, v, n_heads, mask, past)
     out = linear(heads, store, f"{prefix}.o")
     if return_attn:
         return out, weights.copy()

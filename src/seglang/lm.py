@@ -32,7 +32,8 @@ class SegState:
 
 class DecodeCache:
     """Each LM layer's K and V for the first `length` rows of one sequence,
-    held as plain arrays, so the cache never keeps an autodiff tape."""
+    held as plain arrays in `tensor.attend`'s head layout, so a step splits
+    only its own rows into heads and the cache never keeps an autodiff tape."""
 
     def __init__(self, n_layers: int):
         self.length = 0

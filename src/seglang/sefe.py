@@ -67,13 +67,14 @@ def init_encoder(store: ParamStore, prefix: str, d_enc: int, patch: int,
 
 
 def encode(img: np.ndarray, store: ParamStore, prefix: str, patch: int,
-           n_blocks: int, n_heads: int) -> FeatureGrid:
+           n_blocks: int, n_heads: int, key: tuple | None = None) -> FeatureGrid:
     """Run one encoder branch: patch embed + positions + blocks + final norm.
-    Inside `frozen_encoder_memo`, a repeated input returns the stored output."""
+    Inside `frozen_encoder_memo`, a repeated input returns the stored output;
+    `key`, the image's `image_key` when the caller has it, spares a digest."""
     img = check_image(img, patch)
     memo = store.encoder_memo
     if memo is not None:
-        key = (prefix, *image_key(img))
+        key = (prefix, *(key or image_key(img)))
         if key in memo:
             return memo[key]
     gh, gw = img.shape[0] // patch, img.shape[1] // patch
@@ -108,12 +109,12 @@ def frozen_encoder_memo(store: ParamStore):
         store.encoder_memo = None
 
 
-def encode_semantic(img, store: ParamStore, cfg) -> FeatureGrid:
-    return encode(img, store, "sem_enc", cfg.patch, cfg.enc_blocks, cfg.n_heads)
+def encode_semantic(img, store: ParamStore, cfg, key=None) -> FeatureGrid:
+    return encode(img, store, "sem_enc", cfg.patch, cfg.enc_blocks, cfg.n_heads, key)
 
 
-def encode_pixel(img, store: ParamStore, cfg) -> FeatureGrid:
-    return encode(img, store, "pix_enc", cfg.patch, cfg.enc_blocks, cfg.n_heads)
+def encode_pixel(img, store: ParamStore, cfg, key=None) -> FeatureGrid:
+    return encode(img, store, "pix_enc", cfg.patch, cfg.enc_blocks, cfg.n_heads, key)
 
 
 def init_sefe(store: ParamStore, cfg, rng: np.random.Generator) -> None:
@@ -161,8 +162,10 @@ def sefe_forward(img, store: ParamStore, cfg) -> tuple[FeatureGrid, FeatureGrid]
     The raw pixel grid goes to the mask decoder; the concatenated global
     feature goes to the language model.
     """
-    f_s_raw = encode_semantic(img, store, cfg)
-    f_p_raw = encode_pixel(img, store, cfg)
+    # inside the encoder memo, one digest keys both branches
+    key = None if store.encoder_memo is None else image_key(check_image(img, cfg.patch))
+    f_s_raw = encode_semantic(img, store, cfg, key)
+    f_p_raw = encode_pixel(img, store, cfg, key)
     f_s = project(f_s_raw, "semantic", store)
     f_p = project(f_p_raw, "pixel", store)
     fused = fuse(f_s, f_p, store, cfg.n_heads)

@@ -67,8 +67,8 @@ class InterleavedSequence:
     # -- flat views ----------------------------------------------------------
 
     def __len__(self) -> int:
-        return sum(e.grid.tokens if isinstance(e, FeatureBlock) else 1
-                   for e in self.elements)
+        return len(self.elements) + sum(e.grid.tokens - 1 for e in self.elements
+                                        if isinstance(e, FeatureBlock))
 
     def layout(self):
         """Flatten to (token_ids, supervised, seg_positions, feat_spans).

@@ -142,10 +142,10 @@ def randn(shape, rng: np.random.Generator, std: float = 1.0,
 
 def _make(out_data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor(out_data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad, out._parents, out._backward = True, parents, backward
+            break
     return out
 
 
@@ -249,13 +249,16 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
-           mask: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+           mask: np.ndarray | None = None,
+           past: dict | None = None) -> tuple[Tensor, np.ndarray]:
     """Multi-head softmax(q @ kᵀ / √d_head + mask) @ v as one tape node.
 
     q: T_q x D, k and v: T_k x D; the node splits the rows into n_heads heads
     and merges them back, and returns (T_q x D out, heads x T_q x T_k
-    weights). Values and gradients match the unfused op chain bit for bit,
-    but no T_q x T_k array stays on the tape."""
+    weights). `past`, when given, holds earlier rows' keys (heads x d_head x
+    T) and values (heads x T x d_head), without tape: the queries attend over
+    them too, and `past` grows by k and v. Values and gradients match the
+    unfused op chain bit for bit, but no T_q x T_k array stays on the tape."""
     if q.ndim != 2 or k.shape != v.shape or k.ndim != 2 \
             or k.shape[1] != q.shape[1] or q.shape[1] % n_heads:
         raise ShapeError(f"attend: q {q.shape}, k {k.shape}, v {v.shape} "
@@ -272,6 +275,12 @@ def attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
 
     qh, vh = heads(q.data), heads(v.data)
     kt = np.ascontiguousarray(k.data.reshape(-1, n_heads, dh).transpose(1, 2, 0))
+    if past is not None:
+        if past:
+            kt = np.concatenate((past["k"], kt), axis=2)
+            vh = np.concatenate((past["v"], vh), axis=1)
+        past["k"], past["v"] = kt, vh
+    new = slice(kt.shape[2] - k.shape[0], None)   # cached rows take no gradient
     scores = np.matmul(qh, kt) * scale
     scores = scores if mask is None else scores + mask
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
@@ -282,12 +291,12 @@ def attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         g = heads(g)
         gy = np.matmul(g, vh.swapaxes(-1, -2)) * weights
         if v.requires_grad:
-            v._accumulate(rows(np.matmul(weights.swapaxes(-1, -2), g)))
+            v._accumulate(rows(np.matmul(weights.swapaxes(-1, -2), g)[:, new]))
         gs = (gy - weights * gy.sum(axis=-1, keepdims=True)) * scale
         if q.requires_grad:
             q._accumulate(rows(np.matmul(gs, kt.swapaxes(-1, -2))))
         if k.requires_grad:
-            k._accumulate(rows(np.matmul(qh.swapaxes(-1, -2), gs).swapaxes(1, 2)))
+            k._accumulate(rows(np.matmul(qh.swapaxes(-1, -2), gs).swapaxes(1, 2)[:, new]))
 
     return _make(out_data, (q, k, v), backward), weights
 
@@ -330,15 +339,15 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
     except ValueError:
         raise ShapeError(
             f"concat axis {axis}: shapes {[p.shape for p in parts]} incompatible")
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
 
     def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+        lo = 0
+        for p in parts:
             if p.requires_grad:
                 idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
+                idx[axis] = slice(lo, lo + p.shape[axis])
                 p._accumulate(g[tuple(idx)])
+            lo += p.shape[axis]
 
     return _make(out_data, tuple(parts), backward)
 
@@ -399,17 +408,18 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance (no affine)."""
+    """Normalize the last axis to zero mean / unit variance (no affine). Each
+    sum over the count is np.mean's and np.var's arithmetic, bit for bit."""
     a = _wrap(a)
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    out_data = (a.data - mu) * inv
+    n = a.data.shape[-1]
+    centred = a.data - a.data.sum(axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt((centred * centred).sum(axis=-1, keepdims=True) / n + eps)
+    out_data = centred * inv
 
     def backward(g):
         if a.requires_grad:
-            gm = g.mean(axis=-1, keepdims=True)
-            gym = (g * out_data).mean(axis=-1, keepdims=True)
+            gm = g.sum(axis=-1, keepdims=True) / n
+            gym = (g * out_data).sum(axis=-1, keepdims=True) / n
             a._accumulate(inv * (g - gm - out_data * gym))
 
     return _make(out_data, (a,), backward)

@@ -12,7 +12,7 @@ import pytest
 
 from seglang.model import Model
 from seglang.scenes import default_vocab, make_split
-from seglang.training import make_toy_config
+from seglang.suites import make_toy_config
 
 
 @pytest.fixture(scope="session")

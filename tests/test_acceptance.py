@@ -23,10 +23,10 @@ from seglang.scenes import (attr_record, default_vocab, generate_scene,
 from seglang.sefe import FeatureGrid, fuse, init_sefe
 from seglang.sequence import build_training_sequence, parse_training_sequence
 from seglang.store import ParamStore
+from seglang.suites import (conformance_suite, grad_check_suite,
+                            make_toy_config, make_toy_sample)
 from seglang.tensor import Tensor
-from seglang.training import (conformance_suite, eval_refseg,
-                              grad_check_suite, make_toy_config,
-                              make_toy_sample, train)
+from seglang.training import eval_refseg, train
 from seglang.vocab import Vocab
 
 # criterion-7 operating point: 512 train scenes, the default recipe below,

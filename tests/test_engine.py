@@ -21,8 +21,9 @@ from seglang.model import Model
 from seglang.scenes import default_vocab
 from seglang.sefe import encode_local
 from seglang.sequence import build_inference_prefix, crop_region
+from seglang.suites import conformance_suite, make_toy_config
 from seglang.tensor import ShapeError
-from seglang.training import conformance_suite, make_toy_config, seg_state_for
+from seglang.training import seg_state_for
 
 
 @pytest.fixture(scope="module")

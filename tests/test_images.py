@@ -107,6 +107,31 @@ def test_header_fuzz_loads_or_names_the_file(tmp_path, magic, read):
             assert arr.ndim == (3 if magic == b"P6" else 2)
 
 
+@pytest.mark.parametrize("magic,read,channels", [(b"P6", read_ppm, 3),
+                                                 (b"P5", read_pgm_raw, 1)])
+def test_body_fuzz_flips_one_pixel_or_names_the_cut(tmp_path, magic, read, channels):
+    # a flipped body byte loads with the same shape and changes exactly that
+    # value; a body cut short raises the ValueError that names the file
+    rng = np.random.default_rng(13)
+    size = 4 * 5 * channels
+    body = rng.integers(0, 256, size, dtype=np.uint8)
+    header = magic + b"\n5 4\n255\n"
+    p = tmp_path / "img"
+    for _ in range(200):
+        edited = body.copy()
+        at = int(rng.integers(size))
+        edited[at] ^= rng.integers(1, 256, dtype=np.uint8)
+        p.write_bytes(header + edited.tobytes())
+        got = read(str(p))
+        assert got.shape == ((4, 5) if channels == 1 else (4, 5, channels))
+        assert np.flatnonzero(got.reshape(-1) != body).tolist() == [at]
+        cut = int(rng.integers(size))
+        p.write_bytes(header + edited.tobytes()[:cut])
+        with pytest.raises(ValueError,
+                           match=f"img: body has {cut} bytes, expected {size}"):
+            read(str(p))
+
+
 def test_to_unit_float_range():
     img = np.array([[[0, 128, 255]]], dtype=np.uint8)
     out = to_unit_float(img)

@@ -47,7 +47,14 @@ def merge_heads(x):
     return T.reshape(T.transpose(x, (1, 0, 2)), (t, h * dh))
 
 
-def unfused_attend(q, k, v, n_heads, mask=None):
+def unfused_attend(q, k, v, n_heads, mask=None, past=None):
+    if past is not None:   # earlier rows' K and V in attend's head layout
+        d, dh = k.shape[1], k.shape[1] // n_heads
+        if past:
+            k = T.concat([Tensor(past["k"].transpose(2, 0, 1).reshape(-1, d)), k])
+            v = T.concat([Tensor(past["v"].transpose(1, 0, 2).reshape(-1, d)), v])
+        past["k"] = k.data.reshape(-1, n_heads, dh).transpose(1, 2, 0).copy()
+        past["v"] = v.data.reshape(-1, n_heads, dh).transpose(1, 0, 2).copy()
     q, k, v = (split_heads(x, n_heads) for x in (q, k, v))
     scale = 1.0 / np.sqrt(q.shape[2])
     scores = T.mul(T.matmul(q, T.transpose(k, (0, 2, 1))), scale)
@@ -109,6 +116,51 @@ def test_attend_is_bit_identical_to_the_op_chain(t_q, t_k, causal):
                        arrays, 2))
 
 
+def test_attend_without_a_mask_equals_an_all_zero_mask():
+    # adding 0.0 turns a -0.0 score into +0.0 and changes nothing else; exp
+    # maps both to 1, so the values, weights and gradients are bit-equal
+    rng = np.random.default_rng(36)
+    q, k, v = (rng.standard_normal((t, 8)) for t in (3, 5, 5))
+    q[0], k[0] = 0.0, 0.0
+    q[0, 0], k[0, 0] = 1.0, -5e-324   # the score underflows to -0.0 once scaled
+    scores = np.matmul(q[:, :4], k[:, :4].T) * 0.5   # head 0, scale 1/sqrt(4)
+    assert (np.signbit(scores) & (scores == 0.0)).any()
+    assert_bit_equal(
+        run_with_grads(lambda q, k, v: T.attend(q, k, v, 2), [q, k, v], 3),
+        run_with_grads(lambda q, k, v: T.attend(q, k, v, 2, np.zeros((3, 5))),
+                       [q, k, v], 3))
+
+
+@pytest.mark.parametrize("t_past,t_new,causal", [(4, 1, False), (4, 3, True),
+                                                 (1, 6, True)])
+def test_attend_with_past_equals_attend_over_all_keys(t_past, t_new, causal):
+    # the cache keeps K and V in head layout; attending over it gives the
+    # values, weights and new-row gradients of one pass over every key
+    rng = np.random.default_rng(37 + t_new)
+    q, k, v = (rng.standard_normal((t_new, 6)) for _ in range(3))
+    k0, v0 = rng.standard_normal((t_past, 6)), rng.standard_normal((t_past, 6))
+    t_k = t_past + t_new
+    mask = np.triu(np.full((t_new, t_k), NEG_INF), k=1 + t_past) if causal else None
+
+    def cached(q, k, v):
+        past: dict = {}
+        T.attend(Tensor(k0), Tensor(k0), Tensor(v0), 2, None, past)
+        out, weights = T.attend(q, k, v, 2, mask, past)
+        return out, (weights, past)
+
+    def full(q, k, v):
+        k_all, v_all = T.concat([Tensor(k0), k]), T.concat([Tensor(v0), v])
+        out, weights = T.attend(q, k_all, v_all, 2, mask)
+        return out, (weights, k_all.data, v_all.data)
+
+    got, (w_got, past), g_got = run_with_grads(cached, [q, k, v], 4)
+    want, (w_want, k_all, v_all), g_want = run_with_grads(full, [q, k, v], 4)
+    assert np.array_equal(got, want) and np.array_equal(w_got, w_want)
+    assert all(np.array_equal(a, b) for a, b in zip(g_got, g_want))
+    assert np.array_equal(past["k"], k_all.reshape(t_k, 2, 3).transpose(1, 2, 0))
+    assert np.array_equal(past["v"], v_all.reshape(t_k, 2, 3).transpose(1, 0, 2))
+
+
 def test_block_grads_match_the_unfused_tape(monkeypatch):
     # a causal block over cached past rows: every parameter and input
     # gradient equals the one the unfused op chains give, bit for bit
@@ -140,15 +192,16 @@ def test_block_grads_match_the_unfused_tape(monkeypatch):
 @pytest.mark.parametrize("t_past", [0, 3])
 def test_causal_mask_is_the_triu_mask(monkeypatch, t_past):
     # the `key index > query position` mask equals the triu mask bit for
-    # bit, so a block without query rows keeps its outputs and gradients
+    # bit, so a block without query rows keeps its outputs and gradients; a
+    # one-row step (cached or not) has no key in its future and skips the
+    # mask, which the all-zero triu mask would only have added to
     rng = np.random.default_rng(34)
     store = ParamStore()
     init_block(store, "b", 6, rng)
-    head, x = rng.standard_normal((t_past, 6)), rng.standard_normal((5, 6))
-    w = rng.standard_normal((5, 6))
+    head = rng.standard_normal((t_past, 6))
     masks = []
 
-    def run():
+    def run(x, w):
         past: dict = {}
         if t_past:
             block(Tensor(head), store, "b", 2, causal=True, past=past)
@@ -159,19 +212,25 @@ def test_causal_mask_is_the_triu_mask(monkeypatch, t_past):
         store.zero_grad()
         return out.data, xt.grad, grads
 
-    def triu_attend(q, k, v, n_heads, mask):
-        want = np.triu(np.full((q.shape[0], k.shape[0]), NEG_INF),
-                       k=1 + k.shape[0] - q.shape[0])
+    def triu_attend(q, k, v, n_heads, mask, past):
+        t_k = k.shape[0] + (past["v"].shape[1] if past else 0)
+        want = np.triu(np.full((q.shape[0], t_k), NEG_INF), k=1 + t_k - q.shape[0])
         masks.append((mask, want))
-        return T.attend(q, k, v, n_heads, want)
+        return T.attend(q, k, v, n_heads, want, past)
 
-    got = run()
-    monkeypatch.setattr(layers, "attend", triu_attend)
-    want = run()
-    assert len(masks) == (2 if t_past else 1)
-    assert all(np.array_equal(a, b) for a, b in masks)
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    assert all(np.array_equal(got[2][n], want[2][n]) for n in got[2])
+    for t_new in (5, 2, 1):
+        x, w = rng.standard_normal((t_new, 6)), rng.standard_normal((t_new, 6))
+        got = run(x, w)
+        masks.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(layers, "attend", triu_attend)
+            want = run(x, w)
+        assert len(masks) == (2 if t_past else 1)
+        mask, triu = masks[-1]
+        assert (mask is None) == (t_new == 1) and (mask is not None or not triu.any())
+        assert all(np.array_equal(a, b) for a, b in masks if a is not None)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert all(np.array_equal(got[2][n], want[2][n]) for n in got[2])
 
 
 @pytest.mark.parametrize("t_past", [0, 3])
@@ -256,10 +315,10 @@ def test_attention_with_past_matches_full_causal_rows(t0):
     past: dict = {}
     head = attention(Tensor(x[:t0]), Tensor(x[:t0]), store, "a", 2,
                      causal=True, past=past)
-    assert past["k"].shape == (t0, 8)
+    assert past["k"].shape == (2, 4, t0) and past["v"].shape == (2, t0, 4)
     tail = attention(Tensor(x[t0:]), Tensor(x[t0:]), store, "a", 2,
                      causal=True, past=past)
-    assert past["k"].shape == past["v"].shape == (7, 8)
+    assert past["k"].shape == (2, 4, 7) and past["v"].shape == (2, 7, 4)
     # fewer rows may take another BLAS kernel: equal up to rounding only
     assert np.max(np.abs(head.data - full[:t0])) <= 1e-12
     assert np.max(np.abs(tail.data - full[t0:])) <= 1e-12

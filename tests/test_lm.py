@@ -10,7 +10,7 @@ from seglang.model import ALL_PREFIXES, Model
 from seglang.scenes import default_vocab
 from seglang.sequence import InterleavedSequence
 from seglang.tensor import ShapeError, Tensor, concat, tslice, tsum
-from seglang.training import make_toy_config, make_toy_sample
+from seglang.suites import make_toy_config, make_toy_sample
 
 
 def toy(seed=0, n_regions=1, ilvc=True):

@@ -7,7 +7,7 @@ from seglang.maskdec import binarize, decode_mask, init_pixel_decoder
 from seglang.sefe import FeatureGrid
 from seglang.store import ParamStore
 from seglang.tensor import ShapeError, Tensor
-from seglang.training import make_toy_config
+from seglang.suites import make_toy_config
 
 
 def setup_decoder(seed=0):

@@ -12,7 +12,7 @@ from seglang.sefe import (EncoderNotFrozenError, FeatureGrid, check_image,
                           sefe_forward)
 from seglang.store import ParamStore
 from seglang.tensor import ShapeError, Tensor
-from seglang.training import make_toy_config, make_toy_sample
+from seglang.suites import make_toy_config, make_toy_sample
 
 
 def fresh(seed=0):

@@ -15,7 +15,7 @@ from seglang.sequence import (EmptyMaskError, build_inference_prefix,
                               build_training_sequence, crop_region,
                               parse_training_sequence)
 from seglang.tensor import ShapeError
-from seglang.training import make_toy_config, make_toy_sample
+from seglang.suites import make_toy_config, make_toy_sample
 
 
 def build(n_regions, ilvc=True, with_response=False, seed=0):

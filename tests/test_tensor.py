@@ -117,6 +117,35 @@ def test_layer_norm_zero_mean_unit_var():
     assert np.allclose(y.var(axis=-1), 1.0, atol=1e-4)
 
 
+def numpy_layer_norm(x, g, eps=1e-5):
+    """The np.mean / np.var formula of layer_norm, kept as its oracle:
+    (values, the input gradient for upstream gradient g)."""
+    mu = x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + eps)
+    out = (x - mu) * inv
+    gm = g.mean(axis=-1, keepdims=True)
+    gym = (g * out).mean(axis=-1, keepdims=True)
+    return out, inv * (g - gm - out * gym)
+
+
+@pytest.mark.parametrize("width", [8, 12, 16, 32, 48, 64, 256])
+def test_layer_norm_is_bit_identical_to_mean_and_var(width):
+    # one row (a cached decode step), a few rows, a prefill; unit, tiny and
+    # huge scales, and large offsets that make the centring lose bits
+    rng = np.random.default_rng(width)
+    for rows in (1, 7, 150):
+        for scale, offset in ((1.0, 0.0), (1e-3, 0.0), (1e3, 0.0),
+                              (1.0, 1e3), (1e-2, -50.0)):
+            x = rng.standard_normal((rows, width)) * scale + offset
+            g = rng.standard_normal((rows, width))
+            leaf = Tensor(x, requires_grad=True)
+            out = T.layer_norm(leaf)
+            T.tsum(out * Tensor(g)).backward()
+            want, want_grad = numpy_layer_norm(x, g)
+            assert np.array_equal(out.data, want)
+            assert np.array_equal(leaf.grad, want_grad)
+
+
 # ---- exactness on linear functions ------------------------------------------
 
 def test_linear_function_gradient_is_exact():

@@ -11,9 +11,9 @@ from seglang.config import RunConfig
 from seglang.engine import generate, prompt_template
 from seglang.model import Model, STAGE_PREFIXES
 from seglang.scenes import default_vocab
+from seglang.suites import grad_check_suite, make_toy_config, make_toy_sample
 from seglang.training import (answer_question, description_positions,
-                              eval_attr, eval_refseg, grad_check_suite,
-                              load_model, make_toy_config, make_toy_sample,
+                              eval_attr, eval_refseg, load_model,
                               seg_state_for, train, write_refseg_csv)
 from seglang.vocab import Vocab
 
@@ -286,12 +286,31 @@ def test_prefix_memo_outputs_equal_a_fresh_models(toy_vocab, monkeypatch):
     for image, misses in ((a, 1), (b, 2), (a, 3), (a, 3)):
         got = probe_calls(model, image)
         assert len(encodes) == misses   # three calls, one encode per new image
-        assert model.store.prefix_memo[0] == sefe.image_key(image)
+        assert np.array_equal(model.store.prefix_memo[0],
+                              sefe.check_image(image, cfg.patch))
         want = probe_calls(frozen_toy(toy_vocab), image)
         del encodes[-1]                  # the fresh model's one encode
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+
+def test_prefix_memo_keeps_its_own_copy_and_compares_bits(toy_vocab, monkeypatch):
+    # the caller may write into its image after a call, and -0.0 is not 0.0
+    encodes = []
+    real = sefe.sefe_forward
+    monkeypatch.setattr(sefe, "sefe_forward",
+                        lambda *args: encodes.append(1) or real(*args))
+    model = frozen_toy(toy_vocab)
+    cfg = model.cfg
+    image = np.random.default_rng(8).random((cfg.canvas, cfg.canvas, 3))
+    image[0, 0, 0] = 0.0
+    for edit, misses in ((None, 1), (0.5, 2), (0.5, 2), (-0.0, 3), (0.0, 4)):
+        if edit is not None:
+            image[0, 0, 0] = edit
+        answer_question(model, image, QUESTION)
+        assert len(encodes) == misses
+        assert model.store.prefix_memo[0] is not image
 
 
 def test_prefix_memo_hit_leaves_the_stored_cache_unchanged(toy_vocab):
