@@ -85,18 +85,18 @@ def prefill(model: Model, image: np.ndarray, instruction: list[int],
     so no output depends on the memo."""
     cfg, store = model.cfg, model.store
     img = sefe.check_image(image, cfg.patch)
-    frozen = not any(p.requires_grad for p in store.params.values())
-    memo = store.prefix_memo
+    memo = store.frozen_memo(("",))   # "" prefixes every parameter's name
+    entry = None if memo is None else memo.get("prefill")
     # compared bit for bit, so -0.0 and 0.0 pixels are different images
-    if not frozen or memo is None or \
-            not np.array_equal(memo[0].view(np.uint64), img.view(np.uint64)):
+    if entry is None or not np.array_equal(entry[0].view(np.uint64), img.view(np.uint64)):
         f_g, f_p_raw = model.encode_image(img)
         cache = lm.DecodeCache(cfg.lm_layers)
         logits, _ = lm.forward(sequence.build_inference_prefix(f_g, [], model.vocab),
                                store, cfg, cache, rows=[f_g.tokens - 1])
-        memo = (img.copy(), f_g, f_p_raw, cache, logits)
-        store.prefix_memo = memo if frozen else None
-    _, f_g, f_p_raw, cache, logits = memo
+        entry = (img.copy(), f_g, f_p_raw, cache, logits)
+        if memo is not None:
+            memo["prefill"] = entry
+    _, f_g, f_p_raw, cache, logits = entry
     cache = cache.fork()
     seq = sequence.build_inference_prefix(f_g, instruction, model.vocab)
     if seg_slot:

@@ -102,11 +102,12 @@ def forward(seq: InterleavedSequence, store: ParamStore, cfg,
     x = pieces[0] if len(pieces) == 1 else concat(pieces, axis=0)
     x = add(x, tslice(store["lm.pos"], slice(start, n)))
 
-    last = cfg.lm_layers - 1   # earlier blocks feed later keys and values: all rows
+    # earlier blocks feed later keys and values: only the last prunes unread rows
+    last = cfg.lm_layers - 1 if read.size < n - start else None
     for i in range(cfg.lm_layers):
         x = layers.block(x, store, f"lm.blk{i}", cfg.n_heads, causal=True,
                          past=None if cache is None else cache.layers[i],
-                         rows=None if rows is None or i < last else read - start)
+                         rows=read - start if i == last else None)
     hidden = layer_norm(x)
     logits = layers.linear(hidden, store, "lm.head")
     if cache is not None:

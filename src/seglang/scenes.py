@@ -124,6 +124,11 @@ class SceneObject:
     def description(self) -> str:
         return f"the {self.color} {self.shape} on the {self.location}"
 
+    @property
+    def attributes(self) -> dict[str, str]:
+        return {"category": self.shape, "color": self.color,
+                "location": self.location}
+
     def variants(self) -> list[str]:
         """Full description plus the three attribute-omitting forms."""
         return [
@@ -167,8 +172,7 @@ def attr_record(scene_name: str, k: int, obj: SceneObject,
     return AttrRecord(
         object_id=f"{scene_name}:{k}", image=image_path, mask=mask_path,
         descriptions=obj.variants(),
-        attributes={"category": obj.shape, "color": obj.color,
-                    "location": obj.location})
+        attributes=obj.attributes)
 
 
 # ---- dataset files ---------------------------------------------------------
@@ -207,8 +211,7 @@ def _scene_samples(scene_name: str, scene: Scene, rng, rel_image: str,
         [{"mask": m, "description": o.description}
          for m, o in zip(rel_masks, scene.objects)])
     for k, obj in enumerate(scene.objects):
-        attrs = {"category": obj.shape, "color": obj.color,
-                 "location": obj.location}
+        attrs = obj.attributes
         for q in range(2):
             attr_class = ("category", "color", "location")[
                 int(rng.integers(3))]

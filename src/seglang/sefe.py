@@ -11,7 +11,6 @@ go through the semantic branch only.
 from __future__ import annotations
 
 import hashlib
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +18,6 @@ import numpy as np
 from . import layers
 from .store import ParamStore
 from .tensor import Tensor, ShapeError, add, concat, layer_norm
-
-
-class EncoderNotFrozenError(RuntimeError):
-    """Raised when the encoder memo is opened while an encoder trains."""
 
 
 @dataclass
@@ -69,10 +64,10 @@ def init_encoder(store: ParamStore, prefix: str, d_enc: int, patch: int,
 def encode(img: np.ndarray, store: ParamStore, prefix: str, patch: int,
            n_blocks: int, n_heads: int, key: tuple | None = None) -> FeatureGrid:
     """Run one encoder branch: patch embed + positions + blocks + final norm.
-    Inside `frozen_encoder_memo`, a repeated input returns the stored output;
+    While the branch is frozen, a repeated input returns the stored output;
     `key`, the image's `image_key` when the caller has it, spares a digest."""
     img = check_image(img, patch)
-    memo = store.encoder_memo
+    memo = store.frozen_memo((f"{prefix}.",))
     if memo is not None:
         key = (prefix, *(key or image_key(img)))
         if key in memo:
@@ -91,22 +86,6 @@ def encode(img: np.ndarray, store: ParamStore, prefix: str, patch: int,
     if memo is not None:
         memo[key] = out
     return out
-
-
-@contextmanager
-def frozen_encoder_memo(store: ParamStore):
-    """Encode each distinct (branch, shape, pixels) once within the scope; only
-    frozen encoders qualify. Exit, `set_trainable` and `load` drop the memo."""
-    trainable = [n for n, p in store.params.items()
-                 if n.startswith(("sem_enc.", "pix_enc.")) and p.requires_grad]
-    if trainable:
-        raise EncoderNotFrozenError(
-            f"encoder memo needs frozen encoders; trainable: {trainable[:3]}")
-    store.encoder_memo = {}
-    try:
-        yield
-    finally:
-        store.encoder_memo = None
 
 
 def encode_semantic(img, store: ParamStore, cfg, key=None) -> FeatureGrid:
@@ -162,8 +141,7 @@ def sefe_forward(img, store: ParamStore, cfg) -> tuple[FeatureGrid, FeatureGrid]
     The raw pixel grid goes to the mask decoder; the concatenated global
     feature goes to the language model.
     """
-    # inside the encoder memo, one digest keys both branches
-    key = None if store.encoder_memo is None else image_key(check_image(img, cfg.patch))
+    key = image_key(check_image(img, cfg.patch))   # one digest keys both branches
     f_s_raw = encode_semantic(img, store, cfg, key)
     f_p_raw = encode_pixel(img, store, cfg, key)
     f_s = project(f_s_raw, "semantic", store)

@@ -30,8 +30,7 @@ class ParamStore:
         self._adam_m: dict[str, np.ndarray] = {}
         self._adam_v: dict[str, np.ndarray] = {}
         self._adam_t = 0
-        self.encoder_memo: dict | None = None  # sefe.frozen_encoder_memo
-        self.prefix_memo: tuple | None = None  # engine.prefill, frozen stores only
+        self._memo: dict[tuple[str, ...], dict] = {}   # see `frozen_memo`
 
     def add(self, name: str, tensor: Tensor) -> Tensor:
         if name in self.params:
@@ -46,8 +45,17 @@ class ParamStore:
     def names(self) -> list[str]:
         return list(self.params.keys())
 
-    def num_scalars(self) -> int:
-        return sum(p.data.size for p in self.params.values())
+    def frozen_memo(self, prefixes: tuple[str, ...]) -> dict | None:
+        """The memo for outputs that depend only on the parameters under
+        `prefixes`, or None while any of them requires grad. That call also
+        drops the group's entries, so none is read after its parameters
+        could train, even when `requires_grad` was set directly;
+        `set_trainable` and `load` drop every group."""
+        if any(p.requires_grad and n.startswith(prefixes)
+               for n, p in self.params.items()):
+            self._memo.pop(prefixes, None)
+            return None
+        return self._memo.setdefault(prefixes, {})
 
     # -- trainability / optimization ----------------------------------------
 
@@ -57,7 +65,7 @@ class ParamStore:
         Every other parameter gets requires_grad=False so the tape never
         reaches it. Returns the trainable names, in insertion order.
         """
-        self.encoder_memo = self.prefix_memo = None  # a parameter may train now
+        self._memo.clear()   # a parameter may train now
         chosen = []
         for name, p in self.params.items():
             on = any(name.startswith(pre) for pre in prefixes)
@@ -212,7 +220,7 @@ class ParamStore:
         for name, arr in params.items():
             self.params[name].data = arr
         self._adam_t, self._adam_m, self._adam_v = adam_t, adam_m, adam_v
-        self.encoder_memo = self.prefix_memo = None  # memoized outputs would be stale
+        self._memo.clear()   # memoized outputs would be stale
 
 
 def grad_check(store: ParamStore, loss_fn, h: float = 1e-5,

@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from . import engine, lm, maskdec, metrics, sefe
+from . import engine, lm, maskdec, metrics
 from .attreval import build_probes, probe_key, score_logits, score_vqa
 from .config import RunConfig
 from .images import read_ppm, to_unit_float
@@ -54,8 +54,7 @@ def train(cfg: RunConfig, log_path: str | None = None) -> dict:
 
     scale = 1.0 / cfg.batch
     t0 = time.time()
-    with sefe.frozen_encoder_memo(model.store), \
-            open(log_path, "w", encoding="utf-8") as log:
+    with open(log_path, "w", encoding="utf-8") as log:
         for step in range(cfg.steps):
             model.store.zero_grad()
             ids = []

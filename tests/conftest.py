@@ -10,6 +10,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
+from seglang import layers, sefe
 from seglang.model import Model
 from seglang.scenes import default_vocab, make_split
 from seglang.suites import make_toy_config
@@ -32,3 +33,20 @@ def toy_vocab():
 def toy_model(toy_vocab):
     cfg = make_toy_config(0)
     return Model(cfg, toy_vocab, np.random.default_rng(0))
+
+
+@pytest.fixture()
+def encoder_calls(monkeypatch):
+    """(encoder runs, (branch, shape, digest) of every `sefe.encode` call);
+    every run patchifies its input once."""
+    runs, inputs = [], []
+    real_encode, real_patchify = sefe.encode, layers.patchify
+
+    def encode(img, store, prefix, patch, *args):
+        inputs.append((prefix, *sefe.image_key(sefe.check_image(img, patch))))
+        return real_encode(img, store, prefix, patch, *args)
+
+    monkeypatch.setattr(sefe, "encode", encode)
+    monkeypatch.setattr(layers, "patchify",
+                        lambda img, patch: runs.append(1) or real_patchify(img, patch))
+    return runs, inputs

@@ -350,7 +350,7 @@ def test_two_chunk_prefill_matches_one_pass(cfg):
         assert state.position == want_states[-1].position
         assert np.max(np.abs(state.hidden.data - want_states[-1].hidden.data)) <= 1e-12
         assert np.max(np.abs(state.logits.data - want_states[-1].logits.data)) <= 1e-12
-        assert model.store.prefix_memo is not None
+        assert "prefill" in model.store.frozen_memo(("",))
 
 
 def test_fuzzed_scripts_at_small_max_seq_match_the_interpreter():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from seglang import lm
+from seglang import layers, lm
 from seglang.config import RunConfig
 from seglang.lm import DecodeCache, SegState, next_token_loss, top_k_attribute
 from seglang.model import ALL_PREFIXES, Model
@@ -242,6 +242,22 @@ def test_cached_forward_matches_full_pass(seed):
         assert np.max(np.abs(got.hidden.data - want.hidden.data)) <= 1e-12
     with pytest.raises(ShapeError, match="empty sequence after"):
         lm.forward(part, model.store, cfg, cache)
+
+
+def test_cached_one_row_step_slices_only_the_positions(monkeypatch):
+    # a step reads every row it runs, so the last block takes all of them
+    vocab, cfg, model, _, seq = toy(1)
+    cache = DecodeCache(cfg.lm_layers)
+    lm.forward(seq, model.store, cfg, cache, rows=[len(seq) - 1])
+    seq.append_text(vocab.encode("red")[0], supervised=False)
+    want, _ = lm.forward(seq, model.store, cfg)
+    sliced = []
+    for module in (lm, layers):
+        monkeypatch.setattr(module, "tslice", lambda x, i, real=module.tslice:
+                            sliced.append(i) or real(x, i))
+    logits, _ = lm.forward(seq, model.store, cfg, cache, rows=[len(seq) - 1])
+    assert sliced == [slice(len(seq) - 1, len(seq))]   # lm.pos rows only
+    assert np.max(np.abs(logits.data[0] - want.data[-1])) <= 1e-12
 
 
 def test_top_k_attribute_ordering_and_ties():

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from seglang import layers
-from seglang.model import Model
+from seglang.model import STAGE_PREFIXES, Model
 from seglang.scenes import default_vocab
-from seglang.sefe import (EncoderNotFrozenError, FeatureGrid, check_image,
-                          encode_local, encode_pixel, encode_semantic,
-                          frozen_encoder_memo, fuse, init_sefe, project,
-                          sefe_forward)
+from seglang.sefe import (FeatureGrid, check_image, encode_local, encode_pixel,
+                          encode_semantic, fuse, init_sefe, project, sefe_forward)
 from seglang.store import ParamStore
 from seglang.tensor import ShapeError, Tensor
 from seglang.suites import make_toy_config, make_toy_sample
@@ -180,52 +178,76 @@ def loss_and_grads(model, sample):
         if model.store[n].requires_grad and model.store[n].grad is not None}
 
 
-def test_memo_serves_bit_identical_loss_and_grads(monkeypatch):
+def encoder_entries(store):
+    return sum(len(store.frozen_memo((f"{b}.",)) or {}) for b in ("sem_enc", "pix_enc"))
+
+
+def test_memo_serves_bit_identical_loss_and_grads(encoder_calls):
     model, sample = stage2_toy()
-    want_loss, want_grads = loss_and_grads(model, sample)
+    runs, _ = encoder_calls
+    want_loss, want_grads = loss_and_grads(model, sample)   # every encode misses
     assert want_grads
-    patchified = []
-    real = layers.patchify
-    monkeypatch.setattr(layers, "patchify",
-                        lambda img, patch: patchified.append(1) or real(img, patch))
-    with frozen_encoder_memo(model.store):
-        loss_and_grads(model, sample)
-        misses = len(patchified)
-        assert misses == len(model.store.encoder_memo) >= 4  # 2 branches + crops
-        loss, grads = loss_and_grads(model, sample)
-        assert len(patchified) == misses          # every encode was served
-    assert model.store.encoder_memo is None
+    misses = len(runs)
+    assert misses == encoder_entries(model.store) >= 4      # 2 branches + crops
+    loss, grads = loss_and_grads(model, sample)
+    assert len(runs) == misses                              # every encode was served
     assert np.array_equal(loss, want_loss)
     assert grads.keys() == want_grads.keys()
     for name, g in grads.items():
         assert np.array_equal(g, want_grads[name]), name
 
 
-def test_memo_refuses_trainable_encoder():
-    model, _ = stage2_toy()
+def test_memo_refuses_trainable_encoder(encoder_calls):
+    model, sample = stage2_toy()
     model.store.set_trainable(("sem_enc.", "lm."))
-    with pytest.raises(EncoderNotFrozenError, match="sem_enc"):
-        with frozen_encoder_memo(model.store):
-            pass
-    assert model.store.encoder_memo is None
+    runs, _ = encoder_calls
+    for _ in range(2):
+        f_g, f_p_raw = model.encode_image(sample.image)
+        assert f_g.values.requires_grad and not f_p_raw.values.requires_grad
+    assert len(runs) == 3                  # the frozen pixel branch ran once
+    assert model.store.frozen_memo(("sem_enc.",)) is None
+    assert len(model.store.frozen_memo(("pix_enc.",))) == 1
 
 
-def test_memo_dropped_on_exception_set_trainable_and_load(tmp_path):
+def test_memo_dropped_on_exception_set_trainable_and_load(tmp_path, monkeypatch,
+                                                          encoder_calls):
     model, sample = stage2_toy()
     path = str(tmp_path / "m.ckpt")
     model.save(path)
-    with pytest.raises(KeyError):
-        with frozen_encoder_memo(model.store):
-            model.encode_image(sample.image)
-            raise KeyError("boom")
-    assert model.store.encoder_memo is None
-    with frozen_encoder_memo(model.store):
+    runs, _ = encoder_calls
+    counting = layers.patchify
+    monkeypatch.setattr(layers, "patchify", lambda img, patch: 1 / 0)
+    with pytest.raises(ZeroDivisionError):   # a run that fails stores nothing
         model.encode_image(sample.image)
-        model.store.set_trainable(("sem_enc.",))
-        assert model.store.encoder_memo is None
-        assert model.encode_image(sample.image)[0].values.requires_grad
-    model.configure_trainable(2)
-    with frozen_encoder_memo(model.store):
-        model.encode_image(sample.image)
-        model.load(path)
-        assert model.store.encoder_memo is None
+    assert encoder_entries(model.store) == 0
+    monkeypatch.setattr(layers, "patchify", counting)
+    model.encode_image(sample.image)
+    assert encoder_entries(model.store) == 2
+    model.store.set_trainable(STAGE_PREFIXES[2])
+    assert encoder_entries(model.store) == 0
+    model.encode_image(sample.image)
+    model.load(path)
+    assert encoder_entries(model.store) == 0
+    model.encode_image(sample.image)
+    assert len(runs) == 6
+
+
+def test_memo_never_serves_an_entry_made_before_its_branch_trained(encoder_calls):
+    model, sample = stage2_toy()
+    runs, _ = encoder_calls
+    frozen, _ = model.encode_image(sample.image)
+    weight = model.store["sem_enc.patch.w"]
+    weight.requires_grad = True            # set directly, not by set_trainable
+    trained, _ = model.encode_image(sample.image)
+    assert trained.values.requires_grad
+    assert np.array_equal(trained.values.data, frozen.values.data)
+    assert model.store.frozen_memo(("sem_enc.",)) is None
+    weight.data = weight.data * 1.5        # a training step moves the weight
+    weight.requires_grad = False
+    before = len(runs)
+    moved, _ = model.encode_image(sample.image)
+    assert len(runs) == before + 1         # the semantic branch ran again
+    assert not np.array_equal(moved.values.data, frozen.values.data)
+    weight.requires_grad = True
+    want, _ = model.encode_image(sample.image)   # no memo: a fresh run
+    assert np.array_equal(moved.values.data, want.values.data)

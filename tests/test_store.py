@@ -22,7 +22,6 @@ def test_add_marks_trainable_and_rejects_duplicates():
     with pytest.raises(ValueError, match="duplicate"):
         store.add("enc.w", Tensor(np.zeros(2)))
     assert store.names() == ["enc.w", "enc.b", "head.w", "head.s"]
-    assert store.num_scalars() == 6 + 3 + 3 + 1
 
 
 def test_set_trainable_prefix_partition():
@@ -33,6 +32,26 @@ def test_set_trainable_prefix_partition():
     assert not store["head.w"].requires_grad
     assert store["head.w"].grad is None  # frozen params drop stale grads
     assert store["enc.w"].requires_grad
+
+
+def test_frozen_memo_serves_a_group_only_while_it_is_frozen(tmp_path):
+    store = small_store()
+    path = str(tmp_path / "s.ckpt")
+    store.save(path)
+    store.set_trainable(("head.",))
+    enc = store.frozen_memo(("enc.",))
+    enc["out"] = 1
+    assert store.frozen_memo(("enc.",)) is enc
+    assert store.frozen_memo(("head.",)) is None
+    assert store.frozen_memo(("enc.", "head.")) is None
+    store["enc.b"].requires_grad = True      # set directly: the call drops it
+    assert store.frozen_memo(("enc.",)) is None
+    store["enc.b"].requires_grad = False
+    assert store.frozen_memo(("enc.",)) == {}
+    for drop in (lambda: store.set_trainable(("head.",)), lambda: store.load(path)):
+        store.frozen_memo(("enc.",))["out"] = 1
+        drop()
+        assert store.frozen_memo(("enc.",)) == {}
 
 
 def test_sgd_updates_only_trainable_with_grads():
@@ -259,7 +278,8 @@ def test_truncated_checkpoint_leaves_the_store_unchanged(tmp_path):
     cuts = sorted(set(ends[:-1]) | {0, 3, 10}
                   | set(rng.integers(1, len(data), 40).tolist()))
     victim = stepped_store(4)
-    victim.encoder_memo = {}
+    victim["enc.b"].requires_grad = False
+    victim.frozen_memo(("enc.b",))["kept"] = 1
     before = snapshot(victim)
     cut_path = tmp_path / "cut.ckpt"
     params_end = ends[len(src.params)]
@@ -270,7 +290,7 @@ def test_truncated_checkpoint_leaves_the_store_unchanged(tmp_path):
         with pytest.raises(CheckpointError):
             victim.load(str(cut_path))
         assert_same_state(snapshot(victim), before)
-        assert victim.encoder_memo == {}
+        assert victim.frozen_memo(("enc.b",)) == {"kept": 1}   # a failed load keeps it
     # extra bytes after the optimizer state are refused as well
     cut_path.write_bytes(data + b"\0")
     with pytest.raises(CheckpointError, match="after the optimizer state"):
@@ -280,6 +300,7 @@ def test_truncated_checkpoint_leaves_the_store_unchanged(tmp_path):
     # the cut that drops the whole optimizer state is a valid checkpoint
     cut_path.write_bytes(data[:params_end])
     victim.load(str(cut_path))
+    assert victim.frozen_memo(("enc.b",)) == {}
     params, t, moments = snapshot(victim)
     assert t == 0 and not moments
     assert_same_state((params, 0, {}), (snapshot(src)[0], 0, {}))

@@ -117,27 +117,11 @@ def test_train_is_bit_deterministic(tiny_split, tmp_path):
     assert open(cfg1.checkpoint, "rb").read() == open(cfg2.checkpoint, "rb").read()
 
 
-def test_train_leaves_no_encoder_memo(tiny_split, tmp_path, monkeypatch):
-    import seglang.training as training
-    models = []
-
-    class Probe(Model):
-        def __init__(self, *args):
-            super().__init__(*args)
-            models.append(self)
-
-        def sample_loss(self, sample):
-            assert self.store.encoder_memo is not None    # inside the scope
-            if len(models) == 2 and self.store.encoder_memo:
-                raise RuntimeError("stop")               # mid-run, memo filled
-            return super().sample_loss(sample)
-
-    monkeypatch.setattr(training, "Model", Probe)
+def test_train_runs_each_encoder_once_per_distinct_input(tiny_split, tmp_path,
+                                                         encoder_calls):
+    runs, inputs = encoder_calls
     train(stage_cfg(tiny_split, tmp_path, 2, "memo"))
-    assert models[0].store.encoder_memo is None
-    with pytest.raises(RuntimeError, match="stop"):
-        train(stage_cfg(tiny_split, tmp_path, 2, "memo_raise"))
-    assert models[1].store.encoder_memo is None
+    assert len(runs) == len(set(inputs)) < len(inputs)
 
 
 def test_stage2_warm_starts_from_checkpoint(tiny_split, tmp_path):
@@ -185,6 +169,17 @@ def test_eval_refseg_smoke(tiny_split):
     assert 0.0 <= rep["metrics"]["giou"] <= 1.0
     assert rep["desc_tokens"] > 0
     assert 0.0 <= rep["desc_token_acc"] <= 1.0
+
+
+def test_eval_refseg_runs_each_encoder_once_per_distinct_input(tiny_split, tmp_path,
+                                                               encoder_calls):
+    cfg = stage_cfg(tiny_split, tmp_path, 1, "eval_memo")
+    Model(cfg, Vocab.load(cfg.vocab_file)).save(str(tmp_path / "init.ckpt"))
+    cfg.checkpoint = str(tmp_path / "init.ckpt")
+    model = load_model(cfg)
+    runs, inputs = encoder_calls
+    eval_refseg(model, tiny_split, ilvc_enabled=True, max_steps=10)
+    assert len(runs) == len(set(inputs)) < len(inputs)
 
 
 def test_write_refseg_csv(tmp_path):
@@ -256,12 +251,17 @@ def test_answer_is_empty_when_the_first_token_does_not_fit(toy_vocab):
     assert answer_question(model, image, QUESTION) == ""
 
 
-# ---- the frozen model's one-image prefix memo --------------------------------
+# ---- the frozen model's one-image prefill memo -------------------------------
 
 def frozen_toy(toy_vocab, seed=3):
     model = Model(make_toy_config(seed), toy_vocab, np.random.default_rng(seed))
     model.store.set_trainable(())
     return model
+
+
+def prefill_entry(model):
+    """A frozen model's prefill entry: (image, f_g, f_p_raw, cache, logits)."""
+    return model.store.frozen_memo(("",)).get("prefill")
 
 
 def probe_calls(model, image):
@@ -274,7 +274,7 @@ def probe_calls(model, image):
             state.logits.data, episode.output_tokens, *episode.logits_log]
 
 
-def test_prefix_memo_outputs_equal_a_fresh_models(toy_vocab, monkeypatch):
+def test_prefill_memo_outputs_equal_a_fresh_models(toy_vocab, monkeypatch):
     rng = np.random.default_rng(4)
     cfg = make_toy_config(3)
     a, b = (rng.random((cfg.canvas, cfg.canvas, 3)) for _ in range(2))
@@ -286,7 +286,7 @@ def test_prefix_memo_outputs_equal_a_fresh_models(toy_vocab, monkeypatch):
     for image, misses in ((a, 1), (b, 2), (a, 3), (a, 3)):
         got = probe_calls(model, image)
         assert len(encodes) == misses   # three calls, one encode per new image
-        assert np.array_equal(model.store.prefix_memo[0],
+        assert np.array_equal(prefill_entry(model)[0],
                               sefe.check_image(image, cfg.patch))
         want = probe_calls(frozen_toy(toy_vocab), image)
         del encodes[-1]                  # the fresh model's one encode
@@ -295,7 +295,7 @@ def test_prefix_memo_outputs_equal_a_fresh_models(toy_vocab, monkeypatch):
             assert np.array_equal(g, w)
 
 
-def test_prefix_memo_keeps_its_own_copy_and_compares_bits(toy_vocab, monkeypatch):
+def test_prefill_memo_keeps_its_own_copy_and_compares_bits(toy_vocab, monkeypatch):
     # the caller may write into its image after a call, and -0.0 is not 0.0
     encodes = []
     real = sefe.sefe_forward
@@ -310,15 +310,15 @@ def test_prefix_memo_keeps_its_own_copy_and_compares_bits(toy_vocab, monkeypatch
             image[0, 0, 0] = edit
         answer_question(model, image, QUESTION)
         assert len(encodes) == misses
-        assert model.store.prefix_memo[0] is not image
+        assert prefill_entry(model)[0] is not image
 
 
-def test_prefix_memo_hit_leaves_the_stored_cache_unchanged(toy_vocab):
+def test_prefill_memo_hit_leaves_the_stored_cache_unchanged(toy_vocab):
     model = frozen_toy(toy_vocab)
     cfg = model.cfg
     image = np.random.default_rng(5).random((cfg.canvas, cfg.canvas, 3))
     answer_question(model, image, QUESTION)
-    memo = model.store.prefix_memo
+    memo = prefill_entry(model)
     cache = memo[3]
     stored = [dict(layer) for layer in cache.layers]
     copies = [{k: v.copy() for k, v in layer.items()} for layer in cache.layers]
@@ -326,40 +326,49 @@ def test_prefix_memo_hit_leaves_the_stored_cache_unchanged(toy_vocab):
     seg_state_for(model, image, "the red square")
     generate(model, image, prompt_template("gcg", True, model.vocab), True,
              max_steps=6)
-    assert model.store.prefix_memo is memo and cache.length == length
+    assert prefill_entry(model) is memo and cache.length == length
     for layer, before, copy in zip(cache.layers, stored, copies):
         assert layer.keys() == before.keys() == {"k", "v"}
         for k in layer:
             assert layer[k] is before[k] and np.array_equal(layer[k], copy[k])
 
 
-def test_prefix_memo_needs_every_parameter_frozen(toy_vocab):
+def test_prefill_memo_needs_every_parameter_frozen(toy_vocab, monkeypatch):
+    encodes = []
+    real = sefe.sefe_forward
+    monkeypatch.setattr(sefe, "sefe_forward",
+                        lambda *args: encodes.append(1) or real(*args))
     cfg = make_toy_config(3)
     image = np.random.default_rng(6).random((cfg.canvas, cfg.canvas, 3))
     model = Model(cfg, toy_vocab, np.random.default_rng(3))   # all trainable
-    answer_question(model, image, QUESTION)
-    assert model.store.prefix_memo is None
+    for _ in range(2):
+        answer_question(model, image, QUESTION)
+    assert len(encodes) == 2
     model.store.set_trainable(("lm.head.",))
-    assert seg_state_for(model, image, "the red square").logits.requires_grad
-    assert model.store.prefix_memo is None
+    for _ in range(2):
+        assert seg_state_for(model, image, "the red square").logits.requires_grad
+    assert len(encodes) == 4
     model.store.set_trainable(())
-    seg_state_for(model, image, "the red square")
-    assert model.store.prefix_memo is not None
+    for _ in range(2):
+        seg_state_for(model, image, "the red square")
+    assert len(encodes) == 5
     model.store["lm.head.w"].requires_grad = True   # bypassing set_trainable
     assert seg_state_for(model, image, "the red square").logits.requires_grad
-    assert model.store.prefix_memo is None
+    model.store["lm.head.w"].requires_grad = False  # that call dropped the entry
+    seg_state_for(model, image, "the red square")
+    assert len(encodes) == 7
 
 
-def test_prefix_memo_dropped_by_set_trainable_and_load(toy_vocab, tmp_path):
+def test_prefill_memo_dropped_by_set_trainable_and_load(toy_vocab, tmp_path):
     model = frozen_toy(toy_vocab)
     cfg = model.cfg
     image = np.random.default_rng(7).random((cfg.canvas, cfg.canvas, 3))
     path = str(tmp_path / "frozen.ckpt")
     model.save(path)
     answer_question(model, image, QUESTION)
-    assert model.store.prefix_memo is not None
+    assert prefill_entry(model) is not None
     model.store.set_trainable(())
-    assert model.store.prefix_memo is None
+    assert prefill_entry(model) is None
     answer_question(model, image, QUESTION)
     model.load(path)
-    assert model.store.prefix_memo is None
+    assert prefill_entry(model) is None
