@@ -33,8 +33,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--stage", type=int)
     p.add_argument("--steps", type=int)
     p.add_argument("--lr", type=float)
-    p.add_argument("--optimizer", choices=("sgd", "adam"))
-    p.add_argument("--momentum", type=float)
     p.add_argument("--batch", type=int)
     p.add_argument("--interleave-boost", dest="interleave_boost", type=float)
     p.add_argument("--alpha", type=float)

@@ -36,9 +36,7 @@ class RunConfig:
     # training
     stage: int = 1
     seed: int = 0
-    optimizer: str = "adam"     # adam | sgd
     lr: float = 1.2e-3
-    momentum: float = 0.0       # sgd only
     steps: int = 400
     batch: int = 4              # samples averaged into one update
     interleave_boost: float = 0.8   # extra draw weight on interleaved refseg
@@ -69,8 +67,6 @@ class RunConfig:
         if self.d_model % self.n_heads or self.d_sem % self.n_heads \
                 or self.d_pix % self.n_heads:
             raise ValueError("widths must be divisible by n_heads")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         if self.batch < 1:
             raise ValueError("batch must be at least 1")
         if not 0.0 <= self.interleave_boost < 1.0:

@@ -77,28 +77,22 @@ def forward(seq: InterleavedSequence, store: ParamStore, cfg,
         raise ShapeError(
             f"forward: rows {read.tolist()} not increasing in [{start}, {n})")
 
-    # assemble the input matrix: embed runs of single-token elements in one
-    # lookup each, splice feature blocks through unchanged
+    # assemble the input matrix: embed each run of token rows between feature
+    # blocks in one lookup, splice the blocks through unchanged
     pieces: list[Tensor] = []
-    feat_at = {lo: e for lo, _, e in feat_spans}
     pos = start
-    run: list[int] = []
-    while pos < n:
-        e = feat_at.get(pos)
-        if e is not None:
-            if run:
-                pieces.append(embedding_lookup(store["lm.tok"], run))
-                run = []
-            if e.grid.dim != cfg.d_model:
-                raise ShapeError(
-                    f"feature block width {e.grid.dim} != model width {cfg.d_model}")
-            pieces.append(e.grid.values)
-            pos += e.grid.tokens
-        else:
-            run.append(int(token_ids[pos]))
-            pos += 1
-    if run:
-        pieces.append(embedding_lookup(store["lm.tok"], run))
+    for lo, hi, e in feat_spans:
+        if lo < pos:   # a block before the cached length already ran
+            continue
+        if lo > pos:
+            pieces.append(embedding_lookup(store["lm.tok"], token_ids[pos:lo]))
+        if e.grid.dim != cfg.d_model:
+            raise ShapeError(
+                f"feature block width {e.grid.dim} != model width {cfg.d_model}")
+        pieces.append(e.grid.values)
+        pos = hi
+    if pos < n:
+        pieces.append(embedding_lookup(store["lm.tok"], token_ids[pos:n]))
     x = pieces[0] if len(pieces) == 1 else concat(pieces, axis=0)
     x = add(x, tslice(store["lm.pos"], slice(start, n)))
 

@@ -1,4 +1,4 @@
-"""Named parameter store: trainability masks, SGD, checkpoints, grad checking.
+"""Named parameter store: trainability masks, Adam, checkpoints, grad checking.
 
 Parameters live in an insertion-ordered dict of name -> Tensor. Name prefixes
 partition the model into groups (``sem_enc.``, ``lm.``, ...), which is what
@@ -26,7 +26,6 @@ class CheckpointError(ValueError):
 class ParamStore:
     def __init__(self):
         self.params: dict[str, Tensor] = {}
-        self._momentum: dict[str, np.ndarray] = {}
         self._adam_m: dict[str, np.ndarray] = {}
         self._adam_v: dict[str, np.ndarray] = {}
         self._adam_t = 0
@@ -80,22 +79,6 @@ class ParamStore:
         for p in self.params.values():
             p.grad = None
 
-    def sgd_step(self, lr: float, momentum: float = 0.0) -> None:
-        """In-place SGD over trainable params that received a gradient."""
-        for name, p in self.params.items():
-            if not p.requires_grad or p.grad is None:
-                continue
-            if momentum > 0.0:
-                buf = self._momentum.get(name)
-                if buf is None:
-                    buf = np.zeros_like(p.data)
-                    self._momentum[name] = buf
-                buf *= momentum
-                buf += p.grad
-                p.data -= lr * buf
-            else:
-                p.data -= lr * p.grad
-
     def adam_step(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                   eps: float = 1e-8) -> None:
         """Adam update over trainable params that received a gradient.
@@ -125,12 +108,11 @@ class ParamStore:
     def save(self, path: str) -> None:
         """Binary dump: magic, count, then (name, shape, raw f64le) records.
 
-        When Adam has stepped, an optimizer-state trailer follows (shared
-        step counter plus per-parameter moment pairs), so a warm start from
-        this checkpoint continues the optimizer exactly where it stopped
-        instead of restarting its bias correction from the first step. The
-        file is written beside `path` and renamed over it, so a failed write
-        never leaves a half-written checkpoint under that name.
+        The Adam section always follows: its magic, the shared step counter
+        and the per-parameter moment pairs (0 and none before the first
+        step), so a warm start continues the optimizer exactly where it
+        stopped. The file is written beside `path` and renamed over it, so a
+        failed write never leaves a half-written checkpoint under that name.
         """
         tmp = f"{path}.tmp"
         try:
@@ -145,31 +127,28 @@ class ParamStore:
                     for d in p.data.shape:
                         f.write(struct.pack("<I", d))
                     f.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
-                if self._adam_t or self._adam_m:
-                    f.write(_ADAM_MAGIC)
-                    f.write(struct.pack("<I", self._adam_t))
-                    f.write(struct.pack("<I", len(self._adam_m)))
-                    for name, m in self._adam_m.items():
-                        nb = name.encode("utf-8")
-                        f.write(struct.pack("<I", len(nb)))
-                        f.write(nb)
-                        f.write(np.ascontiguousarray(m, dtype="<f8").tobytes())
-                        f.write(np.ascontiguousarray(self._adam_v[name],
-                                                     dtype="<f8").tobytes())
+                f.write(_ADAM_MAGIC)
+                f.write(struct.pack("<I", self._adam_t))
+                f.write(struct.pack("<I", len(self._adam_m)))
+                for name, m in self._adam_m.items():
+                    nb = name.encode("utf-8")
+                    f.write(struct.pack("<I", len(nb)))
+                    f.write(nb)
+                    f.write(np.ascontiguousarray(m, dtype="<f8").tobytes())
+                    f.write(np.ascontiguousarray(self._adam_v[name],
+                                                 dtype="<f8").tobytes())
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):   # the write failed: drop the partial file
                 os.unlink(tmp)
 
     def load(self, path: str) -> None:
-        """Restore values bit-exactly into already-registered parameters.
+        """Restore parameters and the Adam state bit-exactly into
+        already-registered parameters.
 
-        If the file carries an Adam-state trailer the optimizer moments and
-        step counter are restored too; otherwise Adam restarts fresh.
-        Momentum buffers for plain SGD stay process-local either way. The
-        whole file is read and checked before anything is assigned, so a
-        malformed or truncated file raises CheckpointError and leaves every
-        parameter and the optimizer state as they were.
+        The whole file is read and checked before anything is assigned, so a
+        malformed file, or one cut at any byte, raises CheckpointError and
+        leaves every parameter and the optimizer state as they were.
         """
         with open(path, "rb") as f:
             def read(n: int) -> bytes:
@@ -202,21 +181,18 @@ class ParamStore:
             missing = set(self.params) - set(params)
             if missing:
                 raise CheckpointError(f"checkpoint missing parameters: {sorted(missing)}")
-            adam_t, adam_m, adam_v = 0, {}, {}
-            trailer = f.read(len(_ADAM_MAGIC))
-            if trailer:
-                if trailer != _ADAM_MAGIC:
-                    raise CheckpointError(f"unrecognized checkpoint trailer in {path}")
-                adam_t = u32()
-                for _ in range(u32()):
-                    name = read(u32()).decode("utf-8", "replace")
-                    if name not in self.params:
-                        raise CheckpointError(
-                            f"checkpoint optimizer state for unknown parameter {name}")
-                    shape = self.params[name].data.shape
-                    adam_m[name], adam_v[name] = values(shape), values(shape)
-                if f.read(1):
-                    raise CheckpointError(f"{path}: bytes after the optimizer state")
+            if f.read(len(_ADAM_MAGIC)) != _ADAM_MAGIC:
+                raise CheckpointError(f"{path}: no optimizer state after the parameters")
+            adam_t, adam_m, adam_v = u32(), {}, {}
+            for _ in range(u32()):
+                name = read(u32()).decode("utf-8", "replace")
+                if name not in self.params:
+                    raise CheckpointError(
+                        f"checkpoint optimizer state for unknown parameter {name}")
+                shape = self.params[name].data.shape
+                adam_m[name], adam_v[name] = values(shape), values(shape)
+            if f.read(1):
+                raise CheckpointError(f"{path}: bytes after the optimizer state")
         for name, arr in params.items():
             self.params[name].data = arr
         self._adam_t, self._adam_m, self._adam_v = adam_t, adam_m, adam_v

@@ -1,10 +1,10 @@
 """Training loop and evaluation drivers.
 
 Training draws single samples, accumulates gradients into small averaged
-batches, and applies Adam or plain SGD under the two-stage trainable
-schedule, fully determined by config + seed. Evaluation covers referring
-segmentation (generation + IoU metrics + description token accuracy) and
-attribute probing. The verification suites live in `suites`.
+batches, and applies Adam under the two-stage trainable schedule, fully
+determined by config + seed. Evaluation covers referring segmentation
+(generation + IoU metrics + description token accuracy) and attribute
+probing. The verification suites live in `suites`.
 """
 
 from __future__ import annotations
@@ -68,10 +68,7 @@ def train(cfg: RunConfig, log_path: str | None = None) -> dict:
                 ids.append(sample.sample_id)
                 for k, v in report.scalars().items():
                     means[k] = means.get(k, 0.0) + v * scale
-            if cfg.optimizer == "adam":
-                model.store.adam_step(cfg.lr)
-            else:
-                model.store.sgd_step(cfg.lr, cfg.momentum)
+            model.store.adam_step(cfg.lr)
             entry: dict = {"step": step, "samples": ids}
             entry.update(means)
             log.write(json.dumps(entry) + "\n")

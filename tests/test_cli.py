@@ -1,5 +1,7 @@
 """Command-line surface: the full pipeline run end to end on a tiny split."""
 
+import argparse
+import dataclasses
 import glob
 import json
 import os
@@ -9,7 +11,8 @@ import sys
 
 import pytest
 
-from seglang.cli import build_parser, main
+from seglang.cli import _add_config_flags, build_parser, main
+from seglang.config import RunConfig
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -130,6 +133,16 @@ def test_ilvc_flag_mapping():
     assert _config_from(args).ilvc_enabled is True
     args = parser.parse_args(["eval", "--task", "refseg"])
     assert _config_from(args).ilvc_enabled is True  # config default
+
+
+def test_config_flags_name_runconfig_fields():
+    """`_config_from` reads only field names, so a flag whose dest is not a
+    field would be parsed and then silently dropped."""
+    parser = argparse.ArgumentParser(add_help=False)
+    _add_config_flags(parser)
+    dests = {a.dest for a in parser._actions} - {"config"}
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    assert sorted(dests - fields) == []
 
 
 def _declared_console_script():

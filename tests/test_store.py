@@ -1,4 +1,4 @@
-"""Parameter store: trainability, SGD, checkpoint codec, grad_check."""
+"""Parameter store: trainability, Adam, checkpoint codec, grad_check."""
 
 import numpy as np
 import pytest
@@ -52,33 +52,6 @@ def test_frozen_memo_serves_a_group_only_while_it_is_frozen(tmp_path):
         store.frozen_memo(("enc.",))["out"] = 1
         drop()
         assert store.frozen_memo(("enc.",)) == {}
-
-
-def test_sgd_updates_only_trainable_with_grads():
-    store = small_store()
-    store.set_trainable(("enc.",))
-    store["enc.w"].grad = np.full((2, 3), 2.0)
-    before_b = store["enc.b"].data.copy()
-    before_head = store["head.w"].data.copy()
-    store.sgd_step(lr=0.5)
-    assert np.array_equal(store["enc.w"].data,
-                          np.arange(6, dtype=np.float64).reshape(2, 3) - 1.0)
-    assert np.array_equal(store["enc.b"].data, before_b)   # no grad, no move
-    assert np.array_equal(store["head.w"].data, before_head)
-
-
-def test_momentum_matches_manual_recurrence():
-    store = ParamStore()
-    store.add("w", Tensor(np.zeros(1)))
-    g1, g2 = np.array([1.0]), np.array([0.5])
-    store["w"].grad = g1.copy()
-    store.sgd_step(lr=0.1, momentum=0.9)
-    store["w"].grad = g2.copy()
-    store.sgd_step(lr=0.1, momentum=0.9)
-    buf1 = g1
-    buf2 = 0.9 * buf1 + g2
-    want = -0.1 * buf1 - 0.1 * buf2
-    assert np.allclose(store["w"].data, want, atol=1e-15)
 
 
 def test_adam_matches_manual_recurrence():
@@ -179,21 +152,30 @@ def test_checkpoint_resumes_adam_state(tmp_path):
     resumed.adam_step(lr=0.05)
     assert np.array_equal(resumed["w"].data, straight["w"].data)
 
-    # a checkpoint written before any Adam step carries no trailer,
-    # and loading it resets stale optimizer state
+    # a checkpoint written before any Adam step carries an empty optimizer
+    # section (step 0, no moments), and loading it resets stale state
     cold = fresh()
     cold_path = str(tmp_path / "cold.ckpt")
     cold.save(cold_path)
+    cold_bytes = open(cold_path, "rb").read()
+    assert cold_bytes[-16:] == b"ADAM0001" + bytes(8)
     warm = fresh()
     warm["w"].grad = grads[0].copy()
     warm.adam_step(lr=0.05)
     warm.load(cold_path)
     assert warm._adam_t == 0 and not warm._adam_m and not warm._adam_v
 
-    junk = tmp_path / "trailer.ckpt"
-    junk.write_bytes(open(cold_path, "rb").read() + b"XXXX9999glop")
-    with pytest.raises(ValueError, match="trailer"):
+    junk = tmp_path / "junk.ckpt"
+    junk.write_bytes(cold_bytes + b"XXXX9999glop")
+    with pytest.raises(CheckpointError, match="bytes after the optimizer state"):
         fresh().load(str(junk))
+
+    # the parameter records alone, as older code saved a never-stepped store,
+    # lack the mandatory optimizer section
+    junk.write_bytes(cold_bytes[:-16])
+    with pytest.raises(CheckpointError, match="no optimizer state"):
+        resumed.load(str(junk))
+    assert resumed._adam_t == 3   # a failed load keeps the optimizer state
 
 
 def test_checkpoint_validation(tmp_path):
@@ -282,11 +264,9 @@ def test_truncated_checkpoint_leaves_the_store_unchanged(tmp_path):
     victim.frozen_memo(("enc.b",))["kept"] = 1
     before = snapshot(victim)
     cut_path = tmp_path / "cut.ckpt"
-    params_end = ends[len(src.params)]
+    assert ends[len(src.params)] in cuts   # the cut before the optimizer state
     for cut in cuts:
         cut_path.write_bytes(data[:cut])
-        if cut == params_end:
-            continue   # a checkpoint without optimizer state: loads below
         with pytest.raises(CheckpointError):
             victim.load(str(cut_path))
         assert_same_state(snapshot(victim), before)
@@ -297,14 +277,8 @@ def test_truncated_checkpoint_leaves_the_store_unchanged(tmp_path):
         victim.load(str(cut_path))
     assert_same_state(snapshot(victim), before)
 
-    # the cut that drops the whole optimizer state is a valid checkpoint
-    cut_path.write_bytes(data[:params_end])
-    victim.load(str(cut_path))
-    assert victim.frozen_memo(("enc.b",)) == {}
-    params, t, moments = snapshot(victim)
-    assert t == 0 and not moments
-    assert_same_state((params, 0, {}), (snapshot(src)[0], 0, {}))
     victim.load(str(path))
+    assert victim.frozen_memo(("enc.b",)) == {}
     assert_same_state(snapshot(victim), snapshot(src))
 
 

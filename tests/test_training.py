@@ -139,14 +139,6 @@ def test_stage2_warm_starts_from_checkpoint(tiny_split, tmp_path):
                for n in m2.store.names() if n.startswith("lm."))
 
 
-def test_train_sgd_path(tiny_split, tmp_path):
-    cfg = stage_cfg(tiny_split, tmp_path, 1, "sgd", optimizer="sgd",
-                    momentum=0.5, batch=1, interleave_boost=0.0)
-    report = train(cfg)
-    assert report["steps"] == 3
-    assert os.path.exists(cfg.checkpoint)
-
-
 def test_train_rejects_empty_split(tmp_path):
     os.makedirs(tmp_path / "train")
     open(tmp_path / "train" / "samples.jsonl", "w").close()
