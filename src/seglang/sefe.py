@@ -10,7 +10,9 @@ go through the semantic branch only.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,14 +64,14 @@ def init_encoder(store: ParamStore, prefix: str, d_enc: int, patch: int,
 
 
 def encode(img: np.ndarray, store: ParamStore, prefix: str, patch: int,
-           n_blocks: int, n_heads: int, key: tuple | None = None) -> FeatureGrid:
+           n_blocks: int, n_heads: int, key: Callable | None = None) -> FeatureGrid:
     """Run one encoder branch: patch embed + positions + blocks + final norm.
     While the branch is frozen, a repeated input returns the stored output;
-    `key`, the image's `image_key` when the caller has it, spares a digest."""
+    `key`, when given, returns the image's `image_key` for that memo."""
     img = check_image(img, patch)
     memo = store.frozen_memo((f"{prefix}.",))
     if memo is not None:
-        key = (prefix, *(key or image_key(img)))
+        key = (prefix, *(key() if key else image_key(img)))
         if key in memo:
             return memo[key]
     gh, gw = img.shape[0] // patch, img.shape[1] // patch
@@ -141,7 +143,8 @@ def sefe_forward(img, store: ParamStore, cfg) -> tuple[FeatureGrid, FeatureGrid]
     The raw pixel grid goes to the mask decoder; the concatenated global
     feature goes to the language model.
     """
-    key = image_key(check_image(img, cfg.patch))   # one digest keys both branches
+    # one lazy digest keys both branches, taken only when a frozen memo asks
+    key = functools.cache(lambda: image_key(check_image(img, cfg.patch)))
     f_s_raw = encode_semantic(img, store, cfg, key)
     f_p_raw = encode_pixel(img, store, cfg, key)
     f_s = project(f_s_raw, "semantic", store)

@@ -173,6 +173,8 @@ class ParamStore:
                 shape = tuple(u32() for _ in range(u32()))
                 if name not in self.params:
                     raise CheckpointError(f"checkpoint has unknown parameter {name}")
+                if name in params:
+                    raise CheckpointError(f"checkpoint repeats parameter {name}")
                 if self.params[name].data.shape != shape:
                     raise CheckpointError(
                         f"checkpoint shape mismatch for {name}: "
@@ -189,6 +191,8 @@ class ParamStore:
                 if name not in self.params:
                     raise CheckpointError(
                         f"checkpoint optimizer state for unknown parameter {name}")
+                if name in adam_m:
+                    raise CheckpointError(f"checkpoint repeats Adam state for {name}")
                 shape = self.params[name].data.shape
                 adam_m[name], adam_v[name] = values(shape), values(shape)
             if f.read(1):

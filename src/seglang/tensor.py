@@ -5,6 +5,14 @@ numpy float64 array plus an optional gradient buffer and a per-forward tape.
 Ops build the tape as closures; `backward()` walks it once in reverse
 topological order and then discards it. Slices always copy, there is no
 view aliasing, and everything is deterministic.
+
+The hot kernels allocate once and work in place, with the out-of-place
+formulas' ufuncs and operand order, so every bit is unchanged: `attend`'s
+softmax runs inside its `q @ kᵀ` result, `affine` adds the bias into its
+matmul result, and `gelu` and `layer_norm` build values and gradients in
+their own buffers. A gradient a backward computes afresh for one parent is
+passed as owned, and a first gradient keeps it uncopied; views (`reshape`,
+`transpose`, `concat` slices) and `add`'s pass-through `g` are copied.
 """
 
 from __future__ import annotations
@@ -54,11 +62,15 @@ class Tensor:
 
     # -- autodiff ------------------------------------------------------------
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.array(grad, dtype=np.float64, order="C")
-        else:
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add `grad` into `.grad`; an `owned` one may become the buffer."""
+        if self.grad is not None:
             self.grad += grad
+        elif owned and type(grad) is np.ndarray and grad.dtype == np.float64 \
+                and grad.flags.c_contiguous:
+            self.grad = grad
+        else:
+            self.grad = np.array(grad, dtype=np.float64, order="C")
 
     def backward(self) -> None:
         """Run reverse-mode accumulation from this scalar.
@@ -187,9 +199,9 @@ def mul(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
+            a._accumulate(_unbroadcast(g * b.data, a.shape), True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
+            b._accumulate(_unbroadcast(g * a.data, b.shape), True)
 
     return _make(out_data, (a, b), backward)
 
@@ -203,9 +215,9 @@ def div(a, b) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.shape))
+            a._accumulate(_unbroadcast(g / b.data, a.shape), True)
         if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape), True)
 
     return _make(out_data, (a, b), backward)
 
@@ -223,9 +235,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(np.matmul(g, b.data.swapaxes(-1, -2)))
+            a._accumulate(np.matmul(g, b.data.swapaxes(-1, -2)), True)
         if b.requires_grad:
-            b._accumulate(np.matmul(a.data.swapaxes(-1, -2), g))
+            b._accumulate(np.matmul(a.data.swapaxes(-1, -2), g), True)
 
     return _make(out_data, (a, b), backward)
 
@@ -235,15 +247,16 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] \
             or b.shape != (w.shape[1],):
         raise ShapeError(f"affine: shapes {x.shape} @ {w.shape} + {b.shape}")
-    out_data = np.matmul(x.data, w.data) + b.data
+    out_data = np.matmul(x.data, w.data)
+    out_data += b.data
 
     def backward(g):
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
+            b._accumulate(_unbroadcast(g, b.shape), True)
         if x.requires_grad:
-            x._accumulate(np.matmul(g, w.data.swapaxes(-1, -2)))
+            x._accumulate(np.matmul(g, w.data.swapaxes(-1, -2)), True)
         if w.requires_grad:
-            w._accumulate(np.matmul(x.data.swapaxes(-1, -2), g))
+            w._accumulate(np.matmul(x.data.swapaxes(-1, -2), g), True)
 
     return _make(out_data, (x, w, b), backward)
 
@@ -281,22 +294,28 @@ def attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
             vh = np.concatenate((past["v"], vh), axis=1)
         past["k"], past["v"] = kt, vh
     new = slice(kt.shape[2] - k.shape[0], None)   # cached rows take no gradient
-    scores = np.matmul(qh, kt) * scale
-    scores = scores if mask is None else scores + mask
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    weights = e / e.sum(axis=-1, keepdims=True)
+    weights = np.matmul(qh, kt)   # scores, then softmax weights, in place
+    weights *= scale
+    if mask is not None:
+        weights += mask
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
     out_data = rows(np.matmul(weights, vh))
 
     def backward(g):
         g = heads(g)
-        gy = np.matmul(g, vh.swapaxes(-1, -2)) * weights
+        gy = np.matmul(g, vh.swapaxes(-1, -2))
+        gy *= weights
         if v.requires_grad:
-            v._accumulate(rows(np.matmul(weights.swapaxes(-1, -2), g)[:, new]))
-        gs = (gy - weights * gy.sum(axis=-1, keepdims=True)) * scale
+            v._accumulate(rows(np.matmul(weights.swapaxes(-1, -2), g)[:, new]), True)
+        gs = np.subtract(gy, weights * gy.sum(axis=-1, keepdims=True), out=gy)
+        gs *= scale
         if q.requires_grad:
-            q._accumulate(rows(np.matmul(gs, kt.swapaxes(-1, -2))))
+            q._accumulate(rows(np.matmul(gs, kt.swapaxes(-1, -2))), True)
         if k.requires_grad:
-            k._accumulate(rows(np.matmul(qh.swapaxes(-1, -2), gs).swapaxes(1, 2)[:, new]))
+            k._accumulate(rows(np.matmul(qh.swapaxes(-1, -2), gs).swapaxes(1, 2)[:, new]),
+                          True)
 
     return _make(out_data, (q, k, v), backward), weights
 
@@ -376,11 +395,8 @@ def tsum(a: Tensor, axis=None) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            if axis is None:
-                a._accumulate(np.broadcast_to(g, a.shape).copy())
-            else:
-                a._accumulate(np.broadcast_to(
-                    np.expand_dims(g, axis), a.shape).copy())
+            a._accumulate(np.broadcast_to(
+                g if axis is None else np.expand_dims(g, axis), a.shape))
 
     return _make(out_data, (a,), backward)
 
@@ -395,14 +411,13 @@ def tmean(a: Tensor, axis=None) -> Tensor:
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     a = _wrap(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - lse
+    out_data = a.data - a.data.max(axis=axis, keepdims=True)
+    out_data -= np.log(np.exp(out_data).sum(axis=axis, keepdims=True))
     sm = np.exp(out_data)
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g - sm * g.sum(axis=axis, keepdims=True))
+            a._accumulate(g - sm * g.sum(axis=axis, keepdims=True), True)
 
     return _make(out_data, (a,), backward)
 
@@ -412,15 +427,17 @@ def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
     sum over the count is np.mean's and np.var's arithmetic, bit for bit."""
     a = _wrap(a)
     n = a.data.shape[-1]
-    centred = a.data - a.data.sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt((centred * centred).sum(axis=-1, keepdims=True) / n + eps)
-    out_data = centred * inv
+    out_data = a.data - a.data.sum(axis=-1, keepdims=True) / n   # centred
+    inv = 1.0 / np.sqrt((out_data * out_data).sum(axis=-1, keepdims=True) / n + eps)
+    out_data *= inv
 
     def backward(g):
         if a.requires_grad:
-            gm = g.sum(axis=-1, keepdims=True) / n
             gym = (g * out_data).sum(axis=-1, keepdims=True) / n
-            a._accumulate(inv * (g - gm - out_data * gym))
+            gx = g - g.sum(axis=-1, keepdims=True) / n
+            gx -= out_data * gym
+            gx *= inv
+            a._accumulate(gx, True)
 
     return _make(out_data, (a,), backward)
 
@@ -431,14 +448,30 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 def gelu(a: Tensor) -> Tensor:
     a = _wrap(a)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))  # float pow is ~100x slower
-    t = np.tanh(inner)
-    out_data = 0.5 * x * (1.0 + t)
+    t = x * x   # tanh(C * (x + 0.044715 * x³)); float pow is ~100x slower
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out_data = 0.5 * x
+    out_data *= 1.0 + t
 
     def backward(g):
-        if a.requires_grad:
-            dt = (1.0 - t * t) * _GELU_C * (1.0 + 3 * 0.044715 * x * x)
-            a._accumulate(g * (0.5 * (1.0 + t) + 0.5 * x * dt))
+        if a.requires_grad:   # g * (0.5 * (1 + t) + 0.5 * x * dt)
+            dt = t * t        # dt = (1 - t²) * C * (1 + 3 * 0.044715 * x²)
+            np.subtract(1.0, dt, out=dt)
+            dt *= _GELU_C
+            gx = x * (3 * 0.044715)
+            gx *= x
+            gx += 1.0
+            dt *= gx
+            dt *= np.multiply(x, 0.5, out=gx)
+            np.add(t, 1.0, out=gx)
+            gx *= 0.5
+            gx += dt
+            gx *= g
+            a._accumulate(gx, True)
 
     return _make(out_data, (a,), backward)
 
@@ -449,7 +482,7 @@ def sigmoid(a: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * out_data * (1.0 - out_data))
+            a._accumulate(g * out_data * (1.0 - out_data), True)
 
     return _make(out_data, (a,), backward)
 
@@ -460,7 +493,7 @@ def tlog(a: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g / a.data)
+            a._accumulate(g / a.data, True)
 
     return _make(out_data, (a,), backward)
 
@@ -473,7 +506,7 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * inside)
+            a._accumulate(g * inside, True)
 
     return _make(out_data, (a,), backward)
 
@@ -496,7 +529,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         if table.requires_grad:
             full = np.zeros_like(table.data)
             np.add.at(full, ids, g)
-            table._accumulate(full)
+            table._accumulate(full, True)
 
     return _make(out_data, (table,), backward)
 
@@ -514,7 +547,7 @@ def take_rows(a: Tensor, idx) -> Tensor:
         if a.requires_grad:
             full = np.zeros_like(a.data)
             np.add.at(full, (rows, idx), g)
-            a._accumulate(full)
+            a._accumulate(full, True)
 
     return _make(out_data, (a,), backward)
 
@@ -529,6 +562,6 @@ def repeat_nn(a: Tensor, fh: int, fw: int) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g.reshape(h, fh, w, fw).sum(axis=(1, 3)))
+            a._accumulate(g.reshape(h, fh, w, fw).sum(axis=(1, 3)), True)
 
     return _make(out_data, (a,), backward)

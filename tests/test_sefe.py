@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from seglang import layers
+from seglang import layers, sefe
 from seglang.model import STAGE_PREFIXES, Model
 from seglang.scenes import default_vocab
 from seglang.sefe import (FeatureGrid, check_image, encode_local, encode_pixel,
@@ -195,6 +195,21 @@ def test_memo_serves_bit_identical_loss_and_grads(encoder_calls):
     assert grads.keys() == want_grads.keys()
     for name, g in grads.items():
         assert np.array_equal(g, want_grads[name]), name
+
+
+def test_image_digest_only_when_a_frozen_memo_reads_it(monkeypatch):
+    digests = []
+    real_key = sefe.image_key
+    monkeypatch.setattr(sefe, "image_key",
+                        lambda img: digests.append(1) or real_key(img))
+    model, sample = stage2_toy()
+    cold = Model(model.cfg, model.vocab)     # every parameter requires grad
+    for _ in range(3):
+        cold.encode_image(sample.image)
+    assert digests == []
+    for calls in (1, 2, 3):                  # both branches share one digest
+        model.encode_image(sample.image)
+        assert len(digests) == calls
 
 
 def test_memo_refuses_trainable_encoder(encoder_calls):

@@ -282,6 +282,43 @@ def test_truncated_checkpoint_leaves_the_store_unchanged(tmp_path):
     assert_same_state(snapshot(victim), snapshot(src))
 
 
+def test_checkpoint_naming_a_parameter_twice_is_refused(tmp_path):
+    def stepped(seed):
+        store = ParamStore()
+        rng = np.random.default_rng(seed)
+        store.add("a", Tensor(rng.standard_normal(3)))
+        store.add("b", Tensor(rng.standard_normal((2, 2))))
+        for _ in range(2):
+            for p in store.params.values():
+                p.grad = rng.standard_normal(p.data.shape)
+            store.adam_step(lr=0.1)
+        return store
+
+    path = tmp_path / "two.ckpt"
+    stepped(1).save(str(path))
+    data = path.read_bytes()
+    a_rec = 4 + 1 + 4 + 4 + 8 * 3                # the record of "a"
+    b_rec = 4 + 1 + 4 + 8 + 8 * 4
+    params_end = 12 + a_rec + b_rec
+    adam_head = 8 + 4 + 4                        # magic, step, count
+    a_pair = 4 + 1 + 16 * 3
+    assert len(data) == params_end + adam_head + a_pair + 4 + 1 + 16 * 4
+    # count 3 with "a" written twice: every parameter is still present
+    twice_a = (data[:8] + (3).to_bytes(4, "little") + data[12:params_end]
+               + data[12:12 + a_rec] + data[params_end:])
+    # the Adam section lists "a" twice and leaves "b" out
+    adam_a = params_end + adam_head
+    twice_moments = data[:adam_a + a_pair] + data[adam_a:adam_a + a_pair]
+    victim = stepped(2)
+    before = snapshot(victim)
+    for raw, match in ((twice_a, "repeats parameter a"),
+                       (twice_moments, "repeats Adam state for a")):
+        path.write_bytes(raw)
+        with pytest.raises(CheckpointError, match=match):
+            victim.load(str(path))
+        assert_same_state(snapshot(victim), before)
+
+
 def test_checkpoint_save_replaces_the_file_whole(tmp_path):
     path = tmp_path / "a.ckpt"
     stepped_store(5).save(str(path))

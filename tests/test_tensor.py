@@ -9,6 +9,7 @@ oracles where one exists.
 import ctypes
 import glob
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,12 +129,19 @@ def numpy_layer_norm(x, g, eps=1e-5):
     return out, inv * (g - gm - out * gym)
 
 
+def assert_bits_equal(got, want):
+    """Equal shapes and bit patterns: tells -0.0 from 0.0, and NaNs apart."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("width", [8, 12, 16, 32, 48, 64, 256])
 def test_layer_norm_is_bit_identical_to_mean_and_var(width):
     # one row (a cached decode step), a few rows, a prefill; unit, tiny and
     # huge scales, and large offsets that make the centring lose bits
     rng = np.random.default_rng(width)
-    for rows in (1, 7, 150):
+    for rows in (1, 7, 150, 160):
         for scale, offset in ((1.0, 0.0), (1e-3, 0.0), (1e3, 0.0),
                               (1.0, 1e3), (1e-2, -50.0)):
             x = rng.standard_normal((rows, width)) * scale + offset
@@ -142,8 +150,144 @@ def test_layer_norm_is_bit_identical_to_mean_and_var(width):
             out = T.layer_norm(leaf)
             T.tsum(out * Tensor(g)).backward()
             want, want_grad = numpy_layer_norm(x, g)
-            assert np.array_equal(out.data, want)
-            assert np.array_equal(leaf.grad, want_grad)
+            assert_bits_equal(out.data, want)
+            assert_bits_equal(leaf.grad, want_grad)
+
+
+# ---- in-place kernels against their out-of-place formulas -------------------
+# Each oracle is the formula the kernel had before it worked in place: the
+# same ufuncs in the same operand order, so values and gradients agree bit
+# for bit. The upstream gradient reaches the kernel exactly: tsum's backward
+# hands mul a buffer of ones, and 1.0 * g == g.
+
+def run_kernel(op, arrays, seed):
+    """op(*leaves) and the leaves' gradients for a random upstream g."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    out = op(*leaves)
+    g = np.random.default_rng(seed).standard_normal(out.shape)
+    T.tsum(out * Tensor(g)).backward()
+    return out.data, [leaf.grad for leaf in leaves], g
+
+
+def old_gelu(x, g):
+    c = np.sqrt(2.0 / np.pi)
+    t = np.tanh(c * (x + 0.044715 * (x * x * x)))
+    dt = (1.0 - t * t) * c * (1.0 + 3 * 0.044715 * x * x)
+    return 0.5 * x * (1.0 + t), g * (0.5 * (1.0 + t) + 0.5 * x * dt)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 160])
+def test_gelu_is_bit_identical_to_out_of_place_formula(rows):
+    rng = np.random.default_rng(rows)
+    x = rng.standard_normal((rows, 256)) * 3
+    x[0, :6] = (-0.0, 0.0, 40.0, -40.0, 1e-300, -1e-300)
+    out, (grad,), g = run_kernel(T.gelu, [x], rows + 1)
+    want, want_grad = old_gelu(x, g)
+    assert_bits_equal(out, want)
+    assert_bits_equal(grad, want_grad)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 160])
+def test_affine_is_bit_identical_to_out_of_place_formula(rows):
+    rng = np.random.default_rng(rows)
+    x, w, b = (rng.standard_normal((rows, 48)), rng.standard_normal((48, 64)),
+               rng.standard_normal(64))
+    out, (gx, gw, gb), g = run_kernel(T.affine, [x, w, b], rows + 1)
+    assert_bits_equal(out, np.matmul(x, w) + b)
+    assert_bits_equal(gx, np.matmul(g, w.swapaxes(-1, -2)))
+    assert_bits_equal(gw, np.matmul(x.swapaxes(-1, -2), g))
+    assert_bits_equal(gb, g.sum(axis=0))
+
+
+def old_attend(q, k, v, n_heads, mask, g, past_k=None, past_v=None):
+    """(values, weights, [q, k, v gradients], scaled scores before the mask)
+    of the unfused softmax."""
+    d = q.shape[1]
+    dh = d // n_heads
+    scale = 1.0 / np.sqrt(dh)
+
+    def heads(x):
+        return np.ascontiguousarray(x.reshape(-1, n_heads, dh).transpose(1, 0, 2))
+
+    def rows(x):
+        return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(-1, d)
+
+    qh, vh = heads(q), heads(v)
+    kt = np.ascontiguousarray(k.reshape(-1, n_heads, dh).transpose(1, 2, 0))
+    if past_k is not None:
+        kt = np.concatenate((past_k, kt), axis=2)
+        vh = np.concatenate((past_v, vh), axis=1)
+    new = slice(kt.shape[2] - k.shape[0], None)
+    scaled = np.matmul(qh, kt) * scale
+    scores = scaled if mask is None else scaled + mask
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    out = rows(np.matmul(weights, vh))
+    gh = heads(g)
+    gy = np.matmul(gh, vh.swapaxes(-1, -2)) * weights
+    gv = rows(np.matmul(weights.swapaxes(-1, -2), gh)[:, new])
+    gs = (gy - weights * gy.sum(axis=-1, keepdims=True)) * scale
+    gq = rows(np.matmul(gs, kt.swapaxes(-1, -2)))
+    gk = rows(np.matmul(qh.swapaxes(-1, -2), gs).swapaxes(1, 2)[:, new])
+    return out, weights, [gq, gk, gv], scaled
+
+
+def causal(n_new, n_keys):
+    at = np.arange(n_new)[:, None] + n_keys - n_new
+    return np.where(np.arange(n_keys) > at, -1e9, 0.0)
+
+
+def check_attend(q, k, v, n_heads, mask, seed, past=None):
+    """Bit-compare attend with old_attend; returns the oracle's scores."""
+    past_kv = (past["k"], past["v"]) if past else ()
+    weights = []
+
+    def op(*qkv):
+        out, w = T.attend(*qkv, n_heads, mask, past)
+        weights.append(w)
+        return out
+
+    out, grads, g = run_kernel(op, [q, k, v], seed)
+    want, want_weights, want_grads, scores = old_attend(q, k, v, n_heads, mask, g,
+                                                        *past_kv)
+    assert_bits_equal(out, want)
+    assert_bits_equal(weights[0], want_weights)
+    for got, w in zip(grads, want_grads):
+        assert_bits_equal(got, w)
+    return scores
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 5, 7, 160])
+@pytest.mark.parametrize("masked", [False, True])
+def test_attend_is_bit_identical_to_out_of_place_formula(rows, masked):
+    rng = np.random.default_rng(rows)
+    q, k, v = (rng.standard_normal((rows, 32)) for _ in range(3))
+    check_attend(q, k, v, 4, causal(rows, rows) if masked else None, rows)
+
+
+@pytest.mark.parametrize("new_rows", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("masked", [False, True])
+def test_attend_with_past_is_bit_identical_to_out_of_place_formula(new_rows, masked):
+    # a cached prefix of 9 rows, then 1 to 5 new rows that attend over all
+    rng = np.random.default_rng(new_rows)
+    past = {}
+    T.attend(*(Tensor(rng.standard_normal((9, 32))) for _ in range(3)), 4,
+             causal(9, 9), past)
+    q, k, v = (rng.standard_normal((new_rows, 32)) for _ in range(3))
+    check_attend(q, k, v, 4, causal(new_rows, 9 + new_rows) if masked else None,
+                 new_rows, past)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_attend_keeps_negative_zero_scores_bit_identical(masked):
+    # products that underflow give -0.0 scores; a row of them and one mixed
+    rng = np.random.default_rng(5)
+    q, v = rng.standard_normal((6, 16)), rng.standard_normal((6, 16))
+    k = np.abs(rng.standard_normal((6, 16))) * 1e-200
+    q[1] = -1e-200
+    q[3, :4] = -1e-200
+    scores = check_attend(q, k, v, 4, causal(6, 6) if masked else None, 6)
+    assert (np.signbit(scores) & (scores == 0.0)).any()
 
 
 # ---- exactness on linear functions ------------------------------------------
@@ -298,6 +442,32 @@ def test_backward_frees_tape_keeps_leaf_grads():
     assert mid._parents == () and mid._backward is None
 
 
+def test_gradients_never_share_memory_and_accumulate_exactly():
+    # add sends one g to both parents, reshape, transpose and concat send
+    # views, tslice writes into its parent's buffer, and c is used twice
+    rng = np.random.default_rng(30)
+    leaves = [Tensor(rng.standard_normal(s), requires_grad=True)
+              for s in ((2, 3), (2, 3), (3, 2))]
+    w1, w2, w3 = (Tensor(rng.standard_normal(s)) for s in ((4, 3), (3, 2), (2,)))
+
+    def loss():
+        a, b, c = leaves
+        s = a + b
+        cat = T.concat([s, T.transpose(c)], axis=0)
+        return T.tsum(cat * w1) + T.tsum(T.reshape(s, (3, 2)) * w2) \
+            + T.tsum(c[1] * w3)
+
+    loss().backward()
+    first = [leaf.grad.copy() for leaf in leaves]
+    grads = [leaf.grad for leaf in leaves]
+    for i, gi in enumerate(grads):
+        for gj in grads[i + 1:]:
+            assert not np.shares_memory(gi, gj)
+    loss().backward()
+    for leaf, g in zip(leaves, first):
+        assert_bits_equal(leaf.grad, g + g)
+
+
 def test_first_gradient_from_a_view_is_stored_c_contiguous():
     # transpose's backward hands its parent a transposed view of its grad
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
@@ -343,6 +513,35 @@ def test_scalar_stays_zero_dim():
     assert t.shape == ()
     assert t.item() == 3.0
     assert T.tsum(Tensor(np.ones((2, 2)))).shape == ()
+
+
+# ---- allocation guards -------------------------------------------------------
+# numpy reports its buffers to tracemalloc; the inputs exist before tracing.
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_attend_forward_peak_stays_under_two_score_arrays():
+    # the softmax runs inside the one heads x T x T scores array
+    rng = np.random.default_rng(31)
+    rows, heads = 160, 4
+    q, k, v = (Tensor(rng.standard_normal((rows, 64)), requires_grad=True)
+               for _ in range(3))
+    mask = causal(rows, rows)
+    peak = traced_peak(lambda: T.attend(q, k, v, heads, mask))
+    assert peak <= 2 * heads * rows * rows * 8
+
+
+def test_gelu_forward_peak_stays_under_three_and_a_half_inputs():
+    x = Tensor(np.random.default_rng(32).standard_normal((160, 256)),
+               requires_grad=True)
+    assert traced_peak(lambda: T.gelu(x)) <= 3.5 * x.data.nbytes
 
 
 # ---- error reporting --------------------------------------------------------
