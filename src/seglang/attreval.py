@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .config import read_json
 from .lm import SegState, top_k_attribute
 from .vocab import Vocab
 
@@ -32,14 +33,18 @@ class AttrRecord:
     attributes: dict[str, str]   # class -> value word
 
     def to_dict(self) -> dict:
-        return {"object_id": self.object_id, "image": self.image,
-                "mask": self.mask, "descriptions": self.descriptions,
-                "attributes": self.attributes}
+        return self.__dict__.copy()
 
     @classmethod
     def from_dict(cls, d: dict) -> "AttrRecord":
-        return cls(d["object_id"], d["image"], d["mask"],
-                   list(d["descriptions"]), dict(d["attributes"]))
+        _check_record(d, dict(object_id=str, image=str, mask=str, descriptions=list,
+                              attributes=dict))
+        texts = [*d["descriptions"], *d["attributes"].values()]
+        if not set(d["attributes"]) <= set(ATTR_CLASSES) or not all(
+                isinstance(t, str) for t in texts):
+            raise ValueError(f"descriptions must be strings and attributes map "
+                             f"classes in {ATTR_CLASSES} to strings")
+        return cls(**d)
 
 
 @dataclass
@@ -59,21 +64,28 @@ class AttrProbe:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AttrProbe":
-        return cls(**{k: d[k] for k in ("object_id", "image", "mask",
-                                        "referring", "attr_class", "true_value",
-                                        "false_value", "question_pos",
-                                        "question_neg")})
+        _check_record(d, {f.name: str for f in fields(cls)})
+        if d["attr_class"] not in ATTR_CLASSES:
+            raise ValueError(f"unknown attribute class {d['attr_class']!r}")
+        return cls(**d)
+
+
+def _check_record(d, kinds: dict[str, type]) -> None:
+    """ValueError unless `d` is a dict with exactly the keys and types of `kinds`."""
+    if not isinstance(d, dict) or set(d) != set(kinds):
+        got = sorted(d) if isinstance(d, dict) else type(d).__name__
+        raise ValueError(f"record holds {got}, expected the keys {sorted(kinds)}")
+    for key, kind in kinds.items():
+        if not isinstance(d[key], kind):
+            raise ValueError(f"{key!r} must be {kind.__name__}, got {d[key]!r}")
 
 
 def make_question(referring: str, attr_class: str, value: str) -> str:
     """Phrase a yes/no question about one attribute of the referred object."""
-    if attr_class == "color":
-        return f"is {referring} {value} ?"
-    if attr_class == "location":
-        return f"is {referring} at {value} ?"
-    if attr_class == "category":
-        return f"is {referring} a {value} ?"
-    raise ValueError(f"unknown attribute class {attr_class!r}")
+    if attr_class not in ATTR_CLASSES:
+        raise ValueError(f"unknown attribute class {attr_class!r}")
+    link = {"category": " a", "color": "", "location": " at"}[attr_class]
+    return f"is {referring}{link} {value} ?"
 
 
 def build_probes(records: list[AttrRecord], vocab: Vocab,
@@ -174,5 +186,16 @@ def save_probes(probes: list[AttrProbe], path: str) -> None:
 
 
 def load_probes(path: str) -> list[AttrProbe]:
-    with open(path, encoding="utf-8") as f:
-        return [AttrProbe.from_dict(d) for d in json.load(f)]
+    return load_records(path, AttrProbe)
+
+
+def load_records(path: str, cls) -> list:
+    """`cls.from_dict` of each record in the JSON list at `path`; any flaw
+    raises a ValueError naming the file (and the bad record's index)."""
+    records = []
+    for i, d in enumerate(read_json(path, list)):
+        try:
+            records.append(cls.from_dict(d))
+        except ValueError as exc:
+            raise ValueError(f"{path}: record {i}: {exc}") from None
+    return records

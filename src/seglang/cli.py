@@ -35,7 +35,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lr", type=float)
     p.add_argument("--batch", type=int)
     p.add_argument("--interleave-boost", dest="interleave_boost", type=float)
-    p.add_argument("--alpha", type=float)
     p.add_argument("--max-steps", dest="max_steps", type=int)
     p.add_argument("--ilvc", dest="ilvc_enabled",
                    choices=("on", "off"))

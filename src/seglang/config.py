@@ -1,8 +1,8 @@
-"""Run configuration: model dims, loss weights, training schedule, paths.
+"""Run configuration: model dims, training schedule, generation, paths.
 
 A JSON config file populates the dataclass; CLI flags override single
-fields. Everything that affects a run is in here, so config + seed fully
-determine outputs.
+fields. Everything a run can vary is in here, so config + seed fully
+determine outputs; the objective has no settings (see `losses`).
 """
 
 from __future__ import annotations
@@ -25,13 +25,6 @@ class RunConfig:
     canvas: int = 64
     local_res: int = 32
     max_seq: int = 384
-
-    # loss
-    alpha: float = 1.0
-    w_ce: float = 1.0
-    w_dice: float = 1.0
-    dice_eps: float = 1.0
-    ce_eps: float = 1e-7
 
     # training
     stage: int = 1
@@ -71,17 +64,10 @@ class RunConfig:
             raise ValueError("batch must be at least 1")
         if not 0.0 <= self.interleave_boost < 1.0:
             raise ValueError("interleave_boost must be in [0, 1)")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        if self.dice_eps <= 0 or self.ce_eps <= 0:
-            raise ValueError("smoothing epsilons must be positive")
 
     @property
     def vocab_file(self) -> str:
         return self.vocab_path or f"{self.data_dir}/vocab.txt"
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
     @classmethod
     def load(cls, path: str | None = None, overrides: dict | None = None) -> "RunConfig":
@@ -90,14 +76,7 @@ class RunConfig:
         or a value of the wrong type raises a ValueError naming the file."""
         fields = {}
         if path:
-            with open(path, encoding="utf-8") as f:
-                try:
-                    loaded = json.load(f)
-                except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
-                    raise ValueError(f"{path}: not valid JSON: {exc}") from None
-            if not isinstance(loaded, dict):
-                raise ValueError(f"{path}: config must be a JSON object, "
-                                 f"got {type(loaded).__name__}")
+            loaded = read_json(path, dict)
             kinds = {f.name: type(f.default) for f in dataclasses.fields(cls)}
             unknown = set(loaded) - set(kinds)
             if unknown:
@@ -115,5 +94,19 @@ class RunConfig:
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
+            json.dump(dataclasses.asdict(self), f, indent=2, sort_keys=True)
             f.write("\n")
+
+
+def read_json(path: str, kind: type):
+    """The JSON document at `path`, which must be a `kind` (dict or list).
+    Bad JSON or another top level raises a ValueError naming the file."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            loaded = json.load(f)
+        except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(loaded, kind):
+        want = "object" if kind is dict else "list"
+        raise ValueError(f"{path}: must be a JSON {want}, got {type(loaded).__name__}")
+    return loaded

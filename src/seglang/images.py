@@ -70,6 +70,8 @@ def _read(path: str, magic: str, channels: int) -> np.ndarray:
             fields.append(int(tok))
         body = f.read()
     w, h, maxval = fields
+    if not w or not h:
+        raise ValueError(f"{path}: netpbm size {w}x{h} is empty")
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
     shape = (h, w) if channels == 1 else (h, w, channels)

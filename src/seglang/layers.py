@@ -58,8 +58,8 @@ def mlp_gelu(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
 
 
 def attention(q_in: Tensor, kv_in: Tensor, store: ParamStore, prefix: str,
-              n_heads: int, causal: bool = False, return_attn: bool = False,
-              past: dict | None = None, rows=None):
+              n_heads: int, causal: bool = False, past: dict | None = None,
+              rows=None) -> Tensor:
     """Multi-head attention; `q_in` attends over `kv_in` (equal for self).
 
     q_in: T_q x D, kv_in: T_k x D; `rows`, when given, picks the query rows
@@ -77,11 +77,8 @@ def attention(q_in: Tensor, kv_in: Tensor, store: ParamStore, prefix: str,
     # only a query before the last row has keys in its future to mask
     mask = np.where(np.arange(n_keys) > at[:, None] + n_keys - q_in.shape[0],
                     NEG_INF, 0.0) if causal and (at < q_in.shape[0] - 1).any() else None
-    heads, weights = attend(q, k, v, n_heads, mask, past)
-    out = linear(heads, store, f"{prefix}.o")
-    if return_attn:
-        return out, weights.copy()
-    return out
+    heads, _ = attend(q, k, v, n_heads, mask, past)
+    return linear(heads, store, f"{prefix}.o")
 
 
 def block(x: Tensor, store: ParamStore, prefix: str, n_heads: int,

@@ -1,8 +1,8 @@
 """Training objectives: pixel cross-entropy, soft Dice, combined total.
 
-The total is text_loss + alpha * (w_ce * CE + w_dice * Dice) with the mask
-terms averaged over a sample's regions. Everything returns live Tensors so
-one backward() covers the whole objective.
+The total is text_loss + (CE + Dice), unweighted, with each mask term
+averaged over a sample's regions. Everything returns live Tensors so one
+backward() covers the whole objective.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
 from .tensor import Tensor, ShapeError, add, clip, div, mul, tlog, tmean, tsum
 
 
@@ -51,20 +50,19 @@ def dice_loss(pred: Tensor, gt: np.ndarray, eps: float = 1.0) -> Tensor:
     return 1.0 - div(add(mul(overlap, 2.0), eps), denom)
 
 
-def combined_loss(text: Tensor, masks: list[tuple[Tensor, np.ndarray]],
-                  cfg: RunConfig) -> LossReport:
+def combined_loss(text: Tensor,
+                  masks: list[tuple[Tensor, np.ndarray]]) -> LossReport:
     """Assemble the full objective; `masks` pairs predictions with GT."""
     if masks:
         n = float(len(masks))
-        ce = mul(_sum_terms([mask_ce(p, g, cfg.ce_eps) for p, g in masks]), 1.0 / n)
-        dice = mul(_sum_terms([dice_loss(p, g, cfg.dice_eps) for p, g in masks]),
-                   1.0 / n)
+        ce = mul(_sum_terms([mask_ce(p, g) for p, g in masks]), 1.0 / n)
+        dice = mul(_sum_terms([dice_loss(p, g) for p, g in masks]), 1.0 / n)
     else:
         ce = Tensor(0.0)
         dice = Tensor(0.0)
-    mask_term = add(mul(ce, cfg.w_ce), mul(dice, cfg.w_dice))
-    total = add(text, mul(mask_term, cfg.alpha))
-    return LossReport(total=total, text=text, mask=mask_term, ce=ce, dice=dice)
+    mask_term = add(ce, dice)
+    return LossReport(total=add(text, mask_term), text=text, mask=mask_term,
+                      ce=ce, dice=dice)
 
 
 def _sum_terms(terms: list[Tensor]) -> Tensor:

@@ -7,7 +7,7 @@ of gIoU.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,10 +25,7 @@ class MetricReport:
     total_union: int
 
     def to_dict(self) -> dict:
-        return {"ciou": self.ciou, "giou": self.giou, "miou": self.miou,
-                "n": self.n, "total_intersection": self.total_intersection,
-                "total_union": self.total_union,
-                "per_sample_iou": self.per_sample_iou}
+        return self.__dict__.copy()
 
 
 def _counts(pred: np.ndarray, gt: np.ndarray) -> tuple[int, int]:

@@ -21,9 +21,6 @@ STAGE_PREFIXES = {
     2: ("mlp_p.", "segproj.", "mhca.", "lm.", "mlp_s."),
 }
 
-ALL_PREFIXES = ("sem_enc.", "pix_enc.", "mlp_s.", "mlp_p.", "mhca.", "lm.",
-                "segproj.")
-
 
 class Model:
     def __init__(self, cfg: RunConfig, vocab: Vocab,
@@ -80,4 +77,4 @@ class Model:
         masks = [(maskdec.decode_mask(st.hidden, f_p_raw, dims, self.store),
                   gt.astype(np.float64))
                  for st, (gt, _) in zip(seg_states, sample.regions)]
-        return losses.combined_loss(text, masks, self.cfg)
+        return losses.combined_loss(text, masks)

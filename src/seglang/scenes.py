@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attreval import AttrRecord, make_question
+from .attreval import AttrRecord, load_records, make_question
 from .images import read_pgm, read_ppm, to_unit_float, write_pgm, write_ppm
 from .vocab import SPECIALS, Vocab
 
@@ -299,6 +299,11 @@ def load_split(split_dir: str, vocab: Vocab) -> list[Sample]:
                     d[k] for k in ("id", "task", "ilvc", "image",
                                    "instruction", "response"))
                 masks = [(r["mask"], r["description"]) for r in d["regions"]]
+                if task not in ("refseg", "gcg", "vqa") or not isinstance(ilvc, bool):
+                    raise ValueError(f"task {task!r} or ilvc {ilvc!r}")
+                texts = (sid, path, instruction, response, *sum(masks, ()))
+                if not all(isinstance(t, str) for t in texts):
+                    raise ValueError("ids, paths and texts must be strings")
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{name}:{n}: bad sample record {exc!r}") \
                     from exc
@@ -308,7 +313,7 @@ def load_split(split_dir: str, vocab: Vocab) -> list[Sample]:
             regions = [(read_pgm(os.path.join(split_dir, mask)),
                         vocab.encode(desc)) for mask, desc in masks]
             samples.append(Sample(
-                sample_id=sid, task=task, ilvc=bool(ilvc),
+                sample_id=sid, task=task, ilvc=ilvc,
                 image=image_cache[path], regions=regions,
                 instruction=vocab.encode(instruction),
                 response=vocab.encode(response) if response else []))
@@ -316,6 +321,4 @@ def load_split(split_dir: str, vocab: Vocab) -> list[Sample]:
 
 
 def load_attr_records(split_dir: str) -> list[AttrRecord]:
-    with open(os.path.join(split_dir, "attr_records.json"),
-              encoding="utf-8") as f:
-        return [AttrRecord.from_dict(d) for d in json.load(f)]
+    return load_records(os.path.join(split_dir, "attr_records.json"), AttrRecord)

@@ -63,39 +63,32 @@ def init_encoder(store: ParamStore, prefix: str, d_enc: int, patch: int,
         layers.init_block(store, f"{prefix}.blk{i}", d_enc, rng)
 
 
-def encode(img: np.ndarray, store: ParamStore, prefix: str, patch: int,
-           n_blocks: int, n_heads: int, key: Callable | None = None) -> FeatureGrid:
-    """Run one encoder branch: patch embed + positions + blocks + final norm.
-    While the branch is frozen, a repeated input returns the stored output;
-    `key`, when given, returns the image's `image_key` for that memo."""
-    img = check_image(img, patch)
+def encode(img: np.ndarray, store: ParamStore, cfg, prefix: str,
+           key: Callable | None = None) -> FeatureGrid:
+    """Run one encoder branch (`sem_enc` or `pix_enc`): patch embed +
+    positions + blocks + final norm. While the branch is frozen, a repeated
+    input returns the stored output; `key`, when given, returns the image's
+    `image_key` for that memo."""
+    img = check_image(img, cfg.patch)
     memo = store.frozen_memo((f"{prefix}.",))
     if memo is not None:
         key = (prefix, *(key() if key else image_key(img)))
         if key in memo:
             return memo[key]
-    gh, gw = img.shape[0] // patch, img.shape[1] // patch
-    flat = layers.patchify(img, patch)
+    gh, gw = img.shape[0] // cfg.patch, img.shape[1] // cfg.patch
+    flat = layers.patchify(img, cfg.patch)
     x = layers.linear(Tensor(flat), store, f"{prefix}.patch")
     pos = store[f"{prefix}.pos"]
     if gh * gw > pos.shape[0]:
         raise ShapeError(
             f"{prefix}: {gh * gw} tokens exceed positional table {pos.shape[0]}")
     x = add(x, pos[0:gh * gw])
-    for i in range(n_blocks):
-        x = layers.block(x, store, f"{prefix}.blk{i}", n_heads)
+    for i in range(cfg.enc_blocks):
+        x = layers.block(x, store, f"{prefix}.blk{i}", cfg.n_heads)
     out = FeatureGrid(layer_norm(x), grid=(gh, gw))
     if memo is not None:
         memo[key] = out
     return out
-
-
-def encode_semantic(img, store: ParamStore, cfg, key=None) -> FeatureGrid:
-    return encode(img, store, "sem_enc", cfg.patch, cfg.enc_blocks, cfg.n_heads, key)
-
-
-def encode_pixel(img, store: ParamStore, cfg, key=None) -> FeatureGrid:
-    return encode(img, store, "pix_enc", cfg.patch, cfg.enc_blocks, cfg.n_heads, key)
 
 
 def init_sefe(store: ParamStore, cfg, rng: np.random.Generator) -> None:
@@ -121,19 +114,15 @@ def project(f: FeatureGrid, which: str, store: ParamStore) -> FeatureGrid:
     return FeatureGrid(layers.mlp_gelu(f.values, store, prefix), grid=f.grid)
 
 
-def fuse(f_s: FeatureGrid, f_p: FeatureGrid, store: ParamStore, n_heads: int,
-         return_attn: bool = False):
+def fuse(f_s: FeatureGrid, f_p: FeatureGrid, store: ParamStore,
+         n_heads: int) -> FeatureGrid:
     """Residual cross-attention: f_s + MHCA(Q=f_p, K=f_s, V=f_s)."""
     if f_s.tokens != f_p.tokens:
         raise ShapeError(
             f"fuse: token counts differ, {f_s.tokens} vs {f_p.tokens}")
     if f_s.dim != f_p.dim:
         raise ShapeError(f"fuse: widths differ, {f_s.dim} vs {f_p.dim}")
-    att = layers.attention(f_p.values, f_s.values, store, "mhca", n_heads,
-                           return_attn=return_attn)
-    if return_attn:
-        att, weights = att
-        return FeatureGrid(add(f_s.values, att), grid=f_s.grid), weights
+    att = layers.attention(f_p.values, f_s.values, store, "mhca", n_heads)
     return FeatureGrid(add(f_s.values, att), grid=f_s.grid)
 
 
@@ -145,8 +134,8 @@ def sefe_forward(img, store: ParamStore, cfg) -> tuple[FeatureGrid, FeatureGrid]
     """
     # one lazy digest keys both branches, taken only when a frozen memo asks
     key = functools.cache(lambda: image_key(check_image(img, cfg.patch)))
-    f_s_raw = encode_semantic(img, store, cfg, key)
-    f_p_raw = encode_pixel(img, store, cfg, key)
+    f_s_raw = encode(img, store, cfg, "sem_enc", key)
+    f_p_raw = encode(img, store, cfg, "pix_enc", key)
     f_s = project(f_s_raw, "semantic", store)
     f_p = project(f_p_raw, "pixel", store)
     fused = fuse(f_s, f_p, store, cfg.n_heads)
@@ -161,4 +150,4 @@ def encode_local(region, store: ParamStore, cfg) -> FeatureGrid:
         raise ShapeError(
             f"encode_local: region {region.shape[:2]}, expected "
             f"{(cfg.local_res, cfg.local_res)}")
-    return project(encode_semantic(region, store, cfg), "semantic", store)
+    return project(encode(region, store, cfg, "sem_enc"), "semantic", store)

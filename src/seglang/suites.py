@@ -9,7 +9,7 @@ import numpy as np
 
 from . import conformance, engine, sefe
 from .config import RunConfig
-from .model import ALL_PREFIXES, Model
+from .model import Model
 from .scenes import Sample, default_vocab
 from .store import grad_check
 from .vocab import Vocab
@@ -66,7 +66,7 @@ def grad_check_suite(n_configs: int = 20, sample_per_param: int = 2,
         cfg = make_toy_config(seed)
         rng = np.random.default_rng(seed)
         model = Model(cfg, vocab, rng)
-        model.store.set_trainable(ALL_PREFIXES)
+        model.store.set_trainable(("",))
         sample = make_toy_sample(cfg, rng, vocab, n_regions=(i % 3),
                                  ilvc=(i % 2 == 0), with_response=(i % 5 == 0))
         result = grad_check(model.store,

@@ -41,13 +41,11 @@ class Vocab:
         return len(self.tokens)
 
     def lexicon(self, attr_class: str) -> list[int]:
-        if attr_class == "color":
-            return list(self.colors)
-        if attr_class == "location":
-            return list(self.locations)
-        if attr_class == "category":
-            return list(self.categories)
-        raise ValueError(f"unknown attribute class {attr_class!r}")
+        ids = {"color": self.colors, "location": self.locations,
+               "category": self.categories}.get(attr_class)
+        if ids is None:
+            raise ValueError(f"unknown attribute class {attr_class!r}")
+        return list(ids)
 
     def encode(self, text: str) -> list[int]:
         ids = []
@@ -80,6 +78,10 @@ class Vocab:
                     continue
                 if line.startswith("# "):
                     current = line[2:].strip()
+                    if current in sections or current not in _SECTION_ORDER:
+                        why = "repeated" if current in sections else "unknown"
+                        raise ValueError(
+                            f"vocab file {path}: {why} section {current!r}")
                     sections[current] = []
                 elif current is None:
                     raise ValueError(f"vocab file {path}: token before any section")

@@ -42,11 +42,26 @@ def encoder_calls(monkeypatch):
     runs, inputs = [], []
     real_encode, real_patchify = sefe.encode, layers.patchify
 
-    def encode(img, store, prefix, patch, *args):
-        inputs.append((prefix, *sefe.image_key(sefe.check_image(img, patch))))
-        return real_encode(img, store, prefix, patch, *args)
+    def encode(img, store, cfg, prefix, *args):
+        inputs.append((prefix, *sefe.image_key(sefe.check_image(img, cfg.patch))))
+        return real_encode(img, store, cfg, prefix, *args)
 
     monkeypatch.setattr(sefe, "encode", encode)
     monkeypatch.setattr(layers, "patchify",
                         lambda img, patch: runs.append(1) or real_patchify(img, patch))
     return runs, inputs
+
+
+@pytest.fixture()
+def attend_weights(monkeypatch):
+    """Copies of the heads x T_q x T_k weights `tensor.attend` returns to
+    every `layers.attention` call, in call order."""
+    seen, real_attend = [], layers.attend
+
+    def attend(*args):
+        out, weights = real_attend(*args)
+        seen.append(weights.copy())
+        return out, weights
+
+    monkeypatch.setattr(layers, "attend", attend)
+    return seen

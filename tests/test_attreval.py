@@ -1,5 +1,7 @@
 """Attribute probing: question forms, probe construction, recount oracles."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,30 @@ def test_probe_file_roundtrip(tmp_path):
     save_probes(probes, p)
     back = load_probes(p)
     assert [q.to_dict() for q in back] == [q.to_dict() for q in probes]
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda probes: probes[1].pop("image"), "record 1: record holds"),
+    (lambda probes: probes[1].update(extra="x"), "record 1: record holds"),
+    (lambda probes: probes[1].update(referring=5), "record 1: 'referring' must be str"),
+    (lambda probes: probes[1].update(attr_class="colour"),
+     "record 1: unknown attribute class 'colour'"),
+    (lambda probes: probes.__setitem__(1, [1]), "record 1: record holds list"),
+], ids=["missing-key", "unknown-key", "wrong-type", "unknown-class", "not-object"])
+def test_probe_file_flaws_name_the_file_and_record(tmp_path, edit, match):
+    p = tmp_path / "probes.json"
+    save_probes(build_probes(records_from_scenes(2), default_vocab(), seed=0), str(p))
+    probes = json.loads(p.read_text())
+    edit(probes)
+    p.write_text(json.dumps(probes))
+    with pytest.raises(ValueError, match=match) as err:
+        load_probes(str(p))
+    assert str(err.value).startswith(f"{p}: ")
+    for text, why in (("[{", "not valid JSON"), ("{}", "must be a JSON list, got dict")):
+        p.write_text(text)
+        with pytest.raises(ValueError, match=why) as err:
+            load_probes(str(p))
+        assert str(err.value).startswith(f"{p}: ")
 
 
 def test_record_roundtrip():

@@ -124,6 +124,12 @@ def test_config_file_unknown_key_rejected(tmp_path):
         main(["train", "--config", str(cfg_path)])
 
 
+def test_loss_weight_flag_is_gone():
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--alpha", "1"])
+    assert exc.value.code == 2
+
+
 def test_ilvc_flag_mapping():
     parser = build_parser()
     from seglang.cli import _config_from

@@ -30,9 +30,9 @@ def test_vocab_path_overrides_data_dir():
     dict(batch=0),
     dict(interleave_boost=1.0),
     dict(interleave_boost=-0.1),
-    dict(alpha=-1),
-    dict(dice_eps=0),
-    dict(ce_eps=0),
+    dict(d_pix=30, n_heads=4),
+    dict(lm_layers=0),
+    dict(enc_blocks=0),
     dict(patch=0),               # would divide by zero
     dict(n_heads=0),
     dict(max_seq=-1),
@@ -54,7 +54,10 @@ def test_load_rejects_unknown_keys(tmp_path):
     for loaded, names in (
             ({"d_model": 32, "banana": 1}, ["banana"]),
             # the optimizer fields older configs saved: Adam is the only one
-            ({"optimizer": "sgd", "momentum": 0.5}, ["momentum", "optimizer"])):
+            ({"optimizer": "sgd", "momentum": 0.5}, ["momentum", "optimizer"]),
+            # the loss settings older configs saved: the objective is fixed
+            *(({key: 1.0}, [key]) for key in
+              ("alpha", "w_ce", "w_dice", "ce_eps", "dice_eps"))):
         path.write_text(json.dumps(loaded))
         with pytest.raises(ValueError,
                            match=re.escape(f"unknown config keys: {names}")):
@@ -91,9 +94,9 @@ def test_load_names_the_file_for_malformed_content(tmp_path, text, match):
 
 def test_load_takes_an_integer_for_a_float_field(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"lr": 1, "alpha": 0}))
+    path.write_text(json.dumps({"lr": 1, "interleave_boost": 0}))
     cfg = RunConfig.load(str(path))
-    assert cfg.lr == 1 and cfg.alpha == 0
+    assert cfg.lr == 1 and cfg.interleave_boost == 0
 
 
 def test_truncated_or_flipped_config_fails_closed(tmp_path):

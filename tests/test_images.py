@@ -77,6 +77,16 @@ def test_non_numeric_header_field_is_named(tmp_path, header, field):
         read(str(p))
 
 
+@pytest.mark.parametrize("header", [b"P6\n0 0\n255\n", b"P6\n0 2\n255\n",
+                                    b"P5\n3 0\n255\n"])
+def test_zero_width_or_height_is_named(tmp_path, header):
+    p = tmp_path / "empty"
+    p.write_bytes(header)
+    read = read_ppm if header.startswith(b"P6") else read_pgm
+    with pytest.raises(ValueError, match="empty: netpbm size .* is empty"):
+        read(str(p))
+
+
 @pytest.mark.parametrize("magic,read", [(b"P6", read_ppm), (b"P5", read_pgm)])
 def test_header_fuzz_loads_or_names_the_file(tmp_path, magic, read):
     # random byte edits to a valid header either still parse or raise a

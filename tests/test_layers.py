@@ -270,7 +270,7 @@ def test_mlp_matches_manual():
     assert np.allclose(got, want, atol=1e-12)
 
 
-def test_attention_matches_scalar_oracle():
+def test_attention_matches_scalar_oracle(attend_weights):
     # T=2, D=2, one head, every projection written out by hand
     store = ParamStore()
     rng = np.random.default_rng(3)
@@ -286,9 +286,9 @@ def test_attention_matches_scalar_oracle():
     w = e / e.sum(axis=-1, keepdims=True)
     want = (w @ v) @ store["a.o.w"].data + store["a.o.b"].data
 
-    got, attn = attention(Tensor(x), Tensor(x), store, "a", n_heads=1,
-                          return_attn=True)
+    got = attention(Tensor(x), Tensor(x), store, "a", n_heads=1)
     assert np.allclose(got.data, want, atol=1e-12)
+    [attn] = attend_weights
     assert np.allclose(attn[0], w, atol=1e-12)
 
 
@@ -324,13 +324,13 @@ def test_attention_with_past_matches_full_causal_rows(t0):
     assert np.max(np.abs(tail.data - full[t0:])) <= 1e-12
 
 
-def test_causal_first_row_attends_only_itself():
+def test_causal_first_row_attends_only_itself(attend_weights):
     rng = np.random.default_rng(5)
     store = ParamStore()
     init_attention(store, "a", 4, rng)
     x = rng.standard_normal((3, 4))
-    _, w = attention(Tensor(x), Tensor(x), store, "a", 1, causal=True,
-                     return_attn=True)
+    attention(Tensor(x), Tensor(x), store, "a", 1, causal=True)
+    [w] = attend_weights
     assert w[0, 0, 0] == 1.0
     assert np.all(w[0, 0, 1:] == 0.0)  # exp(-1e9) underflows to exactly 0
     assert np.allclose(w[0].sum(axis=-1), 1.0)

@@ -6,7 +6,7 @@ import pytest
 from seglang import layers, lm
 from seglang.config import RunConfig
 from seglang.lm import DecodeCache, SegState, next_token_loss, top_k_attribute
-from seglang.model import ALL_PREFIXES, Model
+from seglang.model import Model
 from seglang.scenes import default_vocab
 from seglang.sequence import InterleavedSequence
 from seglang.tensor import ShapeError, Tensor, concat, tslice, tsum
@@ -83,7 +83,7 @@ def test_read_rows_match_the_full_rows(cfg):
     # pass: logits, seg states, the loss and every gradient agree
     vocab = default_vocab()
     model = Model(cfg, vocab, np.random.default_rng(cfg.seed))
-    model.store.set_trainable(ALL_PREFIXES)
+    model.store.set_trainable(("",))
     sample = make_toy_sample(cfg, np.random.default_rng(cfg.seed + 50), vocab,
                              n_regions=2, ilvc=True, with_response=True)
     weights = np.random.default_rng(cfg.seed + 60).standard_normal(

@@ -69,21 +69,20 @@ def test_combined_loss_region_average_and_weights():
         pred = Tensor(rng.random((4, 4)))
         gt = (rng.random((4, 4)) < 0.5).astype(np.float64)
         masks.append((pred, gt))
-    cfg = RunConfig(alpha=0.5, w_ce=2.0, w_dice=0.25)
-    rep = combined_loss(text, masks, cfg)
-    ce_want = np.mean([mask_ce(p, g, cfg.ce_eps).item() for p, g in masks])
-    dice_want = np.mean([dice_loss(p, g, cfg.dice_eps).item() for p, g in masks])
+    rep = combined_loss(text, masks)
+    ce_want = np.mean([mask_ce(p, g).item() for p, g in masks])
+    dice_want = np.mean([dice_loss(p, g).item() for p, g in masks])
     assert abs(rep.ce.item() - ce_want) < 1e-12
     assert abs(rep.dice.item() - dice_want) < 1e-12
-    mask_want = 2.0 * ce_want + 0.25 * dice_want
-    assert abs(rep.mask.item() - mask_want) < 1e-12
-    assert abs(rep.total.item() - (0.7 + 0.5 * mask_want)) < 1e-12
+    # the mask terms are summed unweighted, and added to the text loss as is
+    assert rep.mask.item() == rep.ce.item() + rep.dice.item()
+    assert rep.total.item() == 0.7 + rep.mask.item()
     scalars = rep.scalars()
     assert set(scalars) == {"total", "text", "mask", "ce", "dice"}
 
 
 def test_combined_loss_without_masks():
-    rep = combined_loss(Tensor(1.25), [], RunConfig())
+    rep = combined_loss(Tensor(1.25), [])
     assert rep.total.item() == 1.25
     assert rep.mask.item() == 0.0
     assert rep.ce.item() == 0.0 and rep.dice.item() == 0.0
@@ -94,7 +93,7 @@ def test_combined_loss_backward_reaches_text_and_masks():
     text = Tensor(0.5, requires_grad=True)
     pred = Tensor(rng.random((3, 3)), requires_grad=True)
     gt = np.eye(3)
-    rep = combined_loss(text, [(pred, gt)], RunConfig())
+    rep = combined_loss(text, [(pred, gt)])
     rep.total.backward()
     assert text.grad is not None and float(text.grad) == 1.0
     assert pred.grad is not None and np.abs(pred.grad).sum() > 0
@@ -103,7 +102,9 @@ def test_combined_loss_backward_reaches_text_and_masks():
 def test_shape_and_config_validation():
     with pytest.raises(ShapeError, match="mask loss"):
         mask_ce(Tensor(np.zeros((2, 2))), np.zeros((3, 3)))
-    with pytest.raises(ValueError, match="alpha"):
-        RunConfig(alpha=-1.0)
-    with pytest.raises(ValueError, match="epsilons"):
-        RunConfig(dice_eps=0.0)
+    with pytest.raises(ShapeError, match="mask loss"):
+        dice_loss(Tensor(np.zeros((2, 2))), np.zeros((3, 3)))
+    # the objective has no settings: weights and epsilons are not config
+    for name in ("alpha", "w_ce", "w_dice", "ce_eps", "dice_eps"):
+        with pytest.raises(TypeError, match=name):
+            RunConfig(**{name: 1.0})

@@ -172,6 +172,55 @@ def test_bad_sample_line_names_the_file_and_line(tiny_split, tmp_path, bad,
         load_split(str(split), default_vocab())
 
 
+@pytest.mark.parametrize("field,value", [("task", "segmentt"), ("ilvc", "no"),
+                                         ("ilvc", 1), ("instruction", 7),
+                                         ("response", None), ("description", 3)])
+def test_sample_record_with_a_bad_field_is_refused(tiny_split, tmp_path, field,
+                                                   value):
+    split = tmp_path / "train"
+    shutil.copytree(os.path.join(tiny_split, "train"), split)
+    lines = (split / "samples.jsonl").read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[0])          # an interleaved refseg sample
+    if field == "description":
+        record["regions"][0][field] = value
+    else:
+        record[field] = value
+    lines[0] = json.dumps(record)
+    (split / "samples.jsonl").write_text("\n".join(lines) + "\n",
+                                         encoding="utf-8")
+    with pytest.raises(ValueError, match="samples.jsonl:1: bad sample record"):
+        load_split(str(split), default_vocab())
+
+
+@pytest.mark.parametrize("edit,match", [
+    (lambda recs: recs[1].pop("mask"), "record 1: record holds"),
+    (lambda recs: recs[1].update(extra=1), "record 1: record holds"),
+    (lambda recs: recs[1].update(descriptions="the red one"),
+     "record 1: 'descriptions' must be list"),
+    (lambda recs: recs[1]["descriptions"].append(5), "record 1: descriptions"),
+    (lambda recs: recs[1]["attributes"].update(color=None), "record 1: descriptions"),
+    (lambda recs: recs[1]["attributes"].update(colour="red"), "record 1: descriptions"),
+    (lambda recs: recs.__setitem__(1, "scene"), "record 1: record holds str"),
+], ids=["missing-key", "unknown-key", "descriptions-not-list",
+        "description-not-str", "attribute-not-str", "unknown-class", "not-object"])
+def test_attr_record_flaws_name_the_file_and_record(tiny_split, tmp_path, edit,
+                                                    match):
+    path = tmp_path / "attr_records.json"
+    with open(os.path.join(tiny_split, "eval", "attr_records.json"),
+              encoding="utf-8") as f:
+        records = json.load(f)
+    edit(records)
+    path.write_text(json.dumps(records), encoding="utf-8")
+    with pytest.raises(ValueError, match=match) as err:
+        load_attr_records(str(tmp_path))
+    assert str(err.value).startswith(f"{path}: ")
+    for text, why in (("[{", "not valid JSON"), ("{}", "must be a JSON list, got dict")):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=why) as err:
+            load_attr_records(str(tmp_path))
+        assert str(err.value).startswith(f"{path}: ")
+
+
 def test_attr_records_align_with_masks(tiny_split):
     records = load_attr_records(os.path.join(tiny_split, "eval"))
     assert records

@@ -6,8 +6,8 @@ import pytest
 from seglang import layers, sefe
 from seglang.model import STAGE_PREFIXES, Model
 from seglang.scenes import default_vocab
-from seglang.sefe import (FeatureGrid, check_image, encode_local, encode_pixel,
-                          encode_semantic, fuse, init_sefe, project, sefe_forward)
+from seglang.sefe import (FeatureGrid, check_image, encode, encode_local, fuse,
+                          init_sefe, project, sefe_forward)
 from seglang.store import ParamStore
 from seglang.tensor import ShapeError, Tensor
 from seglang.suites import make_toy_config, make_toy_sample
@@ -25,8 +25,8 @@ def test_encoder_shapes_and_grid():
     rng = np.random.default_rng(1)
     img = rng.random((cfg.canvas, cfg.canvas, 3))
     side = cfg.canvas // cfg.patch
-    f_s = encode_semantic(img, store, cfg)
-    f_p = encode_pixel(img, store, cfg)
+    f_s = encode(img, store, cfg, "sem_enc")
+    f_p = encode(img, store, cfg, "pix_enc")
     assert f_s.grid == (side, side) and f_s.values.shape == (side * side, cfg.d_sem)
     assert f_p.grid == (side, side) and f_p.values.shape == (side * side, cfg.d_pix)
 
@@ -36,21 +36,22 @@ def test_local_crop_uses_position_prefix():
     cfg, store = fresh()
     rng = np.random.default_rng(2)
     region = rng.random((cfg.local_res, cfg.local_res, 3))
-    before = encode_semantic(region, store, cfg).values.numpy()
+    before = encode(region, store, cfg, "sem_enc").values.numpy()
     t_local = (cfg.local_res // cfg.patch) ** 2
     store["sem_enc.pos"].data[t_local:] += 7.0  # rows past the crop length
-    after = encode_semantic(region, store, cfg).values.numpy()
+    after = encode(region, store, cfg, "sem_enc").values.numpy()
     assert np.array_equal(before, after)
     store["sem_enc.pos"].data[0] += 1.0
-    assert not np.array_equal(before, encode_semantic(region, store, cfg).values.numpy())
+    again = encode(region, store, cfg, "sem_enc").values.numpy()
+    assert not np.array_equal(before, again)
 
 
 def test_projection_maps_widths():
     cfg, store = fresh()
     rng = np.random.default_rng(3)
     img = rng.random((cfg.canvas, cfg.canvas, 3))
-    f_s = project(encode_semantic(img, store, cfg), "semantic", store)
-    f_p = project(encode_pixel(img, store, cfg), "pixel", store)
+    f_s = project(encode(img, store, cfg, "sem_enc"), "semantic", store)
+    f_p = project(encode(img, store, cfg, "pix_enc"), "pixel", store)
     assert f_s.dim == cfg.d_model and f_p.dim == cfg.d_model
     assert f_s.grid == f_p.grid
     with pytest.raises(ShapeError, match="width"):
@@ -73,14 +74,15 @@ def test_fuse_residual_identity_with_zero_out_proj():
         assert fused.grid == (3, 3)
 
 
-def test_fuse_moves_once_out_proj_is_nonzero():
+def test_fuse_moves_once_out_proj_is_nonzero(attend_weights):
     cfg, store = fresh()
     rng = np.random.default_rng(5)
     store["mhca.o.w"].data = rng.standard_normal(store["mhca.o.w"].shape) * 0.1
     vals = rng.standard_normal((4, cfg.d_model))
     f_s = FeatureGrid(Tensor(vals.copy()))
     f_p = FeatureGrid(Tensor(rng.standard_normal((4, cfg.d_model))))
-    fused, weights = fuse(f_s, f_p, store, cfg.n_heads, return_attn=True)
+    fused = fuse(f_s, f_p, store, cfg.n_heads)
+    [weights] = attend_weights
     assert not np.array_equal(fused.values.data, vals)
     assert weights.shape == (cfg.n_heads, 4, 4)
     assert np.allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
@@ -108,7 +110,7 @@ def test_sefe_forward_concatenates_token_axis():
     assert f_p_raw.values.shape == (t, cfg.d_pix)
     assert f_p_raw.grid == (cfg.canvas // cfg.patch, cfg.canvas // cfg.patch)
     # second half is the projected pixel branch, before fusion
-    f_p = project(encode_pixel(img, store, cfg), "pixel", store)
+    f_p = project(encode(img, store, cfg, "pix_enc"), "pixel", store)
     assert np.array_equal(global_feat.values.data[t:], f_p.values.data)
 
 

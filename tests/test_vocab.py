@@ -66,3 +66,16 @@ def test_load_rejects_headerless_file(tmp_path):
     p.write_text("red\n")
     with pytest.raises(ValueError, match="before any section"):
         Vocab.load(str(p))
+
+
+@pytest.mark.parametrize("extra,why", [("# colors\nred2\n", "repeated section 'colors'"),
+                                       ("# extra\nfoo\n", "unknown section 'extra'")])
+def test_load_rejects_a_repeated_or_unknown_section(tmp_path, extra, why):
+    # either would load a vocab other than the file's: a repeated header used
+    # to replace the earlier section, an unknown one was dropped
+    p = tmp_path / "vocab.txt"
+    default_vocab().save(str(p))
+    p.write_text(p.read_text() + extra)
+    with pytest.raises(ValueError, match=why) as err:
+        Vocab.load(str(p))
+    assert str(p) in str(err.value)
