@@ -93,7 +93,7 @@ def forward(seq: InterleavedSequence, store: ParamStore, cfg,
         pos = hi
     if pos < n:
         pieces.append(embedding_lookup(store["lm.tok"], token_ids[pos:n]))
-    x = pieces[0] if len(pieces) == 1 else concat(pieces, axis=0)
+    x = pieces[0] if len(pieces) == 1 else concat(pieces)
     x = add(x, tslice(store["lm.pos"], slice(start, n)))
 
     # earlier blocks feed later keys and values: only the last prunes unread rows
@@ -135,7 +135,7 @@ def next_token_loss(logits: Tensor, targets: np.ndarray) -> Tensor:
     if logits.ndim != 2 or np.shape(targets) != (logits.shape[0],):
         raise ShapeError(f"next_token_loss: logits {logits.shape}, "
                          f"targets {np.shape(targets)}")
-    return mul(tmean(take_rows(log_softmax(logits, axis=-1), targets)), -1.0)
+    return mul(tmean(take_rows(log_softmax(logits), targets)), -1.0)
 
 
 def top_k_attribute(seg: SegState, subset: list[int], k: int) -> list[int]:

@@ -38,7 +38,7 @@ def mask_ce(pred: Tensor, gt: np.ndarray, eps: float = 1e-7) -> Tensor:
     """Mean binary cross-entropy; predictions clamped to [eps, 1-eps]."""
     gt = _check_dims(pred, gt)
     p = clip(pred, eps, 1.0 - eps)
-    ll = add(mul(tlog(p), gt), mul(tlog(1.0 - p), 1.0 - gt))
+    ll = add(mul(tlog(p), gt), mul(tlog(add(1.0, mul(p, -1.0))), 1.0 - gt))
     return mul(tmean(ll), -1.0)
 
 
@@ -47,7 +47,7 @@ def dice_loss(pred: Tensor, gt: np.ndarray, eps: float = 1.0) -> Tensor:
     gt = _check_dims(pred, gt)
     overlap = tsum(mul(pred, gt))
     denom = add(add(tsum(pred), float(gt.sum())), eps)
-    return 1.0 - div(add(mul(overlap, 2.0), eps), denom)
+    return add(1.0, mul(div(add(mul(overlap, 2.0), eps), denom), -1.0))
 
 
 def combined_loss(text: Tensor,

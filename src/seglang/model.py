@@ -14,6 +14,7 @@ from . import lm, losses, maskdec, sefe, sequence
 from .config import RunConfig
 from .scenes import Sample
 from .store import ParamStore
+from .tensor import tslice
 from .vocab import Vocab
 
 STAGE_PREFIXES = {
@@ -72,7 +73,8 @@ class Model:
         scored, targets = lm.loss_rows(token_ids, supervised)
         rows = np.union1d(scored, seg_positions)
         logits, seg_states = lm.forward(seq, self.store, self.cfg, rows=rows)
-        text = lm.next_token_loss(logits[np.searchsorted(rows, scored)], targets)
+        text = lm.next_token_loss(tslice(logits, np.searchsorted(rows, scored)),
+                                 targets)
         dims = sample.image.shape[:2]
         masks = [(maskdec.decode_mask(st.hidden, f_p_raw, dims, self.store),
                   gt.astype(np.float64))

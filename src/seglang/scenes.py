@@ -301,6 +301,8 @@ def load_split(split_dir: str, vocab: Vocab) -> list[Sample]:
                 masks = [(r["mask"], r["description"]) for r in d["regions"]]
                 if task not in ("refseg", "gcg", "vqa") or not isinstance(ilvc, bool):
                     raise ValueError(f"task {task!r} or ilvc {ilvc!r}")
+                if task == "refseg" and not masks:
+                    raise ValueError("a refseg sample needs a region")
                 texts = (sid, path, instruction, response, *sum(masks, ()))
                 if not all(isinstance(t, str) for t in texts):
                     raise ValueError("ids, paths and texts must be strings")

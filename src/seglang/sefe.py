@@ -19,7 +19,7 @@ import numpy as np
 
 from . import layers
 from .store import ParamStore
-from .tensor import Tensor, ShapeError, add, concat, layer_norm
+from .tensor import Tensor, ShapeError, add, concat, layer_norm, tslice
 
 
 @dataclass
@@ -82,7 +82,7 @@ def encode(img: np.ndarray, store: ParamStore, cfg, prefix: str,
     if gh * gw > pos.shape[0]:
         raise ShapeError(
             f"{prefix}: {gh * gw} tokens exceed positional table {pos.shape[0]}")
-    x = add(x, pos[0:gh * gw])
+    x = add(x, tslice(pos, slice(0, gh * gw)))
     for i in range(cfg.enc_blocks):
         x = layers.block(x, store, f"{prefix}.blk{i}", cfg.n_heads)
     out = FeatureGrid(layer_norm(x), grid=(gh, gw))
@@ -139,7 +139,7 @@ def sefe_forward(img, store: ParamStore, cfg) -> tuple[FeatureGrid, FeatureGrid]
     f_s = project(f_s_raw, "semantic", store)
     f_p = project(f_p_raw, "pixel", store)
     fused = fuse(f_s, f_p, store, cfg.n_heads)
-    global_feat = FeatureGrid(concat([fused.values, f_p.values], axis=0))
+    global_feat = FeatureGrid(concat([fused.values, f_p.values]))
     return global_feat, f_p_raw
 
 

@@ -6,6 +6,11 @@ Ops build the tape as closures; `backward()` walks it once in reverse
 topological order and then discards it. Slices always copy, there is no
 view aliasing, and everything is deterministic.
 
+Each op is one function (`add`, `mul`, `matmul`, `tslice`, ...) with one
+spelling: `Tensor` has no operator sugar, so `a * b` or `x[i]` raises
+`TypeError`. Only `add` and `mul` take a plain number or array for either
+operand; every other op takes `Tensor`s.
+
 The hot kernels allocate once and work in place, with the out-of-place
 formulas' ufuncs and operand order, so every bit is unchanged: `attend`'s
 softmax runs inside its `q @ kᵀ` result, `affine` adds the bias into its
@@ -52,10 +57,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def numpy(self) -> np.ndarray:
-        """Copy of the underlying data (callers never get to alias it)."""
-        return self.data.copy()
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -108,48 +109,17 @@ class Tensor:
                 if node is not self:
                     node.grad = None
 
-    # -- operator sugar ------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(_wrap(other), -1.0))
-
-    def __rsub__(self, other):
-        return add(_wrap(other), mul(self, -1.0))
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        return tslice(self, key)
-
 
 def _wrap(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad)
+def zeros(shape) -> Tensor:
+    return Tensor(np.zeros(shape))
 
 
-def randn(shape, rng: np.random.Generator, std: float = 1.0,
-          requires_grad: bool = False) -> Tensor:
-    return Tensor(rng.standard_normal(shape) * std, requires_grad)
+def randn(shape, rng: np.random.Generator, std: float = 1.0) -> Tensor:
+    return Tensor(rng.standard_normal(shape) * std)
 
 
 def _make(out_data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
@@ -206,8 +176,7 @@ def mul(a, b) -> Tensor:
     return _make(out_data, (a, b), backward)
 
 
-def div(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+def div(a: Tensor, b: Tensor) -> Tensor:
     try:
         out_data = a.data / b.data
     except ValueError:
@@ -225,19 +194,18 @@ def div(a, b) -> Tensor:
 # -- linear algebra ----------------------------------------------------------
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; both operands 2-D, or equal-rank batched (no broadcast)."""
-    a, b = _wrap(a), _wrap(b)
-    if a.ndim < 2 or b.ndim < 2 or a.ndim != b.ndim:
+    """Product of two 2-D tensors."""
+    if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul: ranks {a.shape} @ {b.shape} unsupported")
-    if a.shape[-1] != b.shape[-2] or a.shape[:-2] != b.shape[:-2]:
+    if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: shapes {a.shape} @ {b.shape} do not align")
     out_data = np.matmul(a.data, b.data)
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(np.matmul(g, b.data.swapaxes(-1, -2)), True)
+            a._accumulate(np.matmul(g, b.data.T), True)
         if b.requires_grad:
-            b._accumulate(np.matmul(a.data.swapaxes(-1, -2), g), True)
+            b._accumulate(np.matmul(a.data.T, g), True)
 
     return _make(out_data, (a, b), backward)
 
@@ -320,23 +288,18 @@ def attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     return _make(out_data, (q, k, v), backward), weights
 
 
-def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
-    a = _wrap(a)
-    out_data = np.ascontiguousarray(np.transpose(a.data, axes))
-    if axes is None:
-        inv = None
-    else:
-        inv = tuple(np.argsort(axes))
+def transpose(a: Tensor) -> Tensor:
+    """Matrix transpose (reverses the axes)."""
+    out_data = np.ascontiguousarray(a.data.T)
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(np.transpose(g, inv))
+            a._accumulate(g.T)
 
     return _make(out_data, (a,), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    a = _wrap(a)
     try:
         out_data = a.data.reshape(shape).copy()
     except ValueError:
@@ -349,31 +312,27 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
-    parts = [_wrap(p) for p in parts]
+def concat(parts: list[Tensor]) -> Tensor:
+    """Stack `parts` row-wise, along their first axis."""
     if not parts:
         raise ShapeError("concat: empty input list")
     try:
-        out_data = np.concatenate([p.data for p in parts], axis=axis)
+        out_data = np.concatenate([p.data for p in parts])
     except ValueError:
-        raise ShapeError(
-            f"concat axis {axis}: shapes {[p.shape for p in parts]} incompatible")
+        raise ShapeError(f"concat: shapes {[p.shape for p in parts]} incompatible")
 
     def backward(g):
         lo = 0
         for p in parts:
             if p.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, lo + p.shape[axis])
-                p._accumulate(g[tuple(idx)])
-            lo += p.shape[axis]
+                p._accumulate(g[lo:lo + p.shape[0]])
+            lo += p.shape[0]
 
     return _make(out_data, tuple(parts), backward)
 
 
 def tslice(a: Tensor, key) -> Tensor:
     """Basic slicing/int indexing; result owns a copy (no aliasing)."""
-    a = _wrap(a)
     out_data = a.data[key]
     if not np.isscalar(out_data):
         out_data = out_data.copy()
@@ -389,35 +348,33 @@ def tslice(a: Tensor, key) -> Tensor:
 
 # -- reductions --------------------------------------------------------------
 
-def tsum(a: Tensor, axis=None) -> Tensor:
-    a = _wrap(a)
-    out_data = a.data.sum(axis=axis)
+def tsum(a: Tensor) -> Tensor:
+    """Sum of all elements."""
+    out_data = a.data.sum()
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(np.broadcast_to(
-                g if axis is None else np.expand_dims(g, axis), a.shape))
+            a._accumulate(np.broadcast_to(g, a.shape))
 
     return _make(out_data, (a,), backward)
 
 
-def tmean(a: Tensor, axis=None) -> Tensor:
-    a = _wrap(a)
-    n = a.data.size if axis is None else a.shape[axis]
-    return mul(tsum(a, axis=axis), 1.0 / n)
+def tmean(a: Tensor) -> Tensor:
+    """Mean of all elements."""
+    return mul(tsum(a), 1.0 / a.data.size)
 
 
 # -- nonlinearities ----------------------------------------------------------
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    a = _wrap(a)
-    out_data = a.data - a.data.max(axis=axis, keepdims=True)
-    out_data -= np.log(np.exp(out_data).sum(axis=axis, keepdims=True))
+def log_softmax(a: Tensor) -> Tensor:
+    """Log-softmax over the last axis."""
+    out_data = a.data - a.data.max(axis=-1, keepdims=True)
+    out_data -= np.log(np.exp(out_data).sum(axis=-1, keepdims=True))
     sm = np.exp(out_data)
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g - sm * g.sum(axis=axis, keepdims=True), True)
+            a._accumulate(g - sm * g.sum(axis=-1, keepdims=True), True)
 
     return _make(out_data, (a,), backward)
 
@@ -425,7 +382,6 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance (no affine). Each
     sum over the count is np.mean's and np.var's arithmetic, bit for bit."""
-    a = _wrap(a)
     n = a.data.shape[-1]
     out_data = a.data - a.data.sum(axis=-1, keepdims=True) / n   # centred
     inv = 1.0 / np.sqrt((out_data * out_data).sum(axis=-1, keepdims=True) / n + eps)
@@ -446,7 +402,6 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 
 
 def gelu(a: Tensor) -> Tensor:
-    a = _wrap(a)
     x = a.data
     t = x * x   # tanh(C * (x + 0.044715 * x³)); float pow is ~100x slower
     t *= x
@@ -477,7 +432,6 @@ def gelu(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    a = _wrap(a)
     out_data = 0.5 * (1.0 + np.tanh(0.5 * a.data))  # overflow-free form
 
     def backward(g):
@@ -488,7 +442,6 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def tlog(a: Tensor) -> Tensor:
-    a = _wrap(a)
     out_data = np.log(a.data)
 
     def backward(g):
@@ -500,7 +453,6 @@ def tlog(a: Tensor) -> Tensor:
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp values; gradient passes only where the input was inside [lo, hi]."""
-    a = _wrap(a)
     out_data = np.clip(a.data, lo, hi)
     inside = (a.data >= lo) & (a.data <= hi)
 
@@ -515,7 +467,6 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Rows of `table` (VxD) at integer `ids` (N,) -> NxD."""
-    table = _wrap(table)
     ids = np.asarray(ids, dtype=np.int64)
     if table.ndim != 2:
         raise ShapeError(f"embedding_lookup: table must be 2-D, got {table.shape}")
@@ -536,7 +487,6 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
 def take_rows(a: Tensor, idx) -> Tensor:
     """Pick one column per row: (NxV, idx[N]) -> (N,)."""
-    a = _wrap(a)
     idx = np.asarray(idx, dtype=np.int64)
     if a.ndim != 2 or idx.ndim != 1 or idx.shape[0] != a.shape[0]:
         raise ShapeError(f"take_rows: got {a.shape} with idx {idx.shape}")
@@ -554,7 +504,6 @@ def take_rows(a: Tensor, idx) -> Tensor:
 
 def repeat_nn(a: Tensor, fh: int, fw: int) -> Tensor:
     """Nearest-neighbor upsample of a 2-D map by integer factors per axis."""
-    a = _wrap(a)
     if a.ndim != 2:
         raise ShapeError(f"repeat_nn: need 2-D input, got {a.shape}")
     out_data = np.repeat(np.repeat(a.data, fh, axis=0), fw, axis=1)

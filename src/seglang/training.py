@@ -21,6 +21,7 @@ from .config import RunConfig
 from .images import read_ppm, to_unit_float
 from .model import Model
 from .scenes import Sample, load_attr_records, load_split
+from .tensor import mul
 from .vocab import Vocab
 
 
@@ -64,7 +65,7 @@ def train(cfg: RunConfig, log_path: str | None = None) -> dict:
                 report = model.sample_loss(sample)
                 if not np.isfinite(report.total.data):
                     raise RuntimeError(f"non-finite loss at step {step}")
-                (report.total * scale).backward()
+                mul(report.total, scale).backward()
                 ids.append(sample.sample_id)
                 for k, v in report.scalars().items():
                     means[k] = means.get(k, 0.0) + v * scale

@@ -3,7 +3,9 @@
 The token inventory is fixed at data-generation time: six control tokens in
 a fixed header, then the attribute lexicons (colors, locations, categories),
 then the remaining scaffold words. Ids follow file order, so the file is the
-single source of truth for id assignment.
+single source of truth for id assignment. A file must hold each `# <section>`
+header once and in that order; a repeated, unknown or out-of-order header
+raises a ValueError naming the file and the section.
 """
 
 from __future__ import annotations
@@ -78,8 +80,9 @@ class Vocab:
                     continue
                 if line.startswith("# "):
                     current = line[2:].strip()
-                    if current in sections or current not in _SECTION_ORDER:
-                        why = "repeated" if current in sections else "unknown"
+                    if _SECTION_ORDER[len(sections):len(sections) + 1] != (current,):
+                        why = ("repeated" if current in sections else "out-of-order"
+                               if current in _SECTION_ORDER else "unknown")
                         raise ValueError(
                             f"vocab file {path}: {why} section {current!r}")
                     sections[current] = []

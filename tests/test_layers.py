@@ -2,7 +2,8 @@
 
 The fused tape ops `affine` and `attend` are checked bit for bit, forward and
 backward, against the unfused op chains they replace, kept here as oracles
-(with `softmax`, which only the attend oracle uses).
+(with `softmax`, `permute` and the head-batched `bmm`, which only the attend
+oracle uses).
 """
 
 import numpy as np
@@ -35,16 +36,40 @@ def softmax(a, axis=-1):
     return T._make(out_data, (a,), backward)
 
 
+def permute(a, axes):
+    out_data = np.ascontiguousarray(np.transpose(a.data, axes))
+    inv = tuple(np.argsort(axes))
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(np.transpose(g, inv))
+
+    return T._make(out_data, (a,), backward)
+
+
+def bmm(a, b):
+    """Matrix product per head: heads x M x K @ heads x K x N."""
+    out_data = np.matmul(a.data, b.data)
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(np.matmul(g, b.data.swapaxes(-1, -2)), True)
+        if b.requires_grad:
+            b._accumulate(np.matmul(a.data.swapaxes(-1, -2), g), True)
+
+    return T._make(out_data, (a, b), backward)
+
+
 def split_heads(x, n_heads):
     """T x D -> n_heads x T x d_head."""
     t, d = x.shape
-    return T.transpose(T.reshape(x, (t, n_heads, d // n_heads)), (1, 0, 2))
+    return permute(T.reshape(x, (t, n_heads, d // n_heads)), (1, 0, 2))
 
 
 def merge_heads(x):
     """n_heads x T x d_head -> T x D."""
     h, t, dh = x.shape
-    return T.reshape(T.transpose(x, (1, 0, 2)), (t, h * dh))
+    return T.reshape(permute(x, (1, 0, 2)), (t, h * dh))
 
 
 def unfused_attend(q, k, v, n_heads, mask=None, past=None):
@@ -57,11 +82,11 @@ def unfused_attend(q, k, v, n_heads, mask=None, past=None):
         past["v"] = v.data.reshape(-1, n_heads, dh).transpose(1, 0, 2).copy()
     q, k, v = (split_heads(x, n_heads) for x in (q, k, v))
     scale = 1.0 / np.sqrt(q.shape[2])
-    scores = T.mul(T.matmul(q, T.transpose(k, (0, 2, 1))), scale)
+    scores = T.mul(bmm(q, permute(k, (0, 2, 1))), scale)
     if mask is not None:
         scores = T.add(scores, Tensor(mask[None, :, :]))
     weights = softmax(scores, axis=-1)
-    return merge_heads(T.matmul(weights, v)), weights.data
+    return merge_heads(bmm(weights, v)), weights.data
 
 
 def run_with_grads(op, arrays, seed):
@@ -69,7 +94,7 @@ def run_with_grads(op, arrays, seed):
     leaves = [Tensor(a, requires_grad=True) for a in arrays]
     out, extra = op(*leaves)
     w = np.random.default_rng(seed).standard_normal(out.shape)
-    T.tsum(out * Tensor(w)).backward()
+    T.tsum(T.mul(out, Tensor(w))).backward()
     return out.data, extra, [leaf.grad for leaf in leaves]
 
 
@@ -174,8 +199,8 @@ def test_block_grads_match_the_unfused_tape(monkeypatch):
         past: dict = {}
         block(Tensor(head), store, "b", 2, causal=True, past=past)
         xt = Tensor(x, requires_grad=True)
-        T.tsum(block(xt, store, "b", 2, causal=True, past=past)
-               * Tensor(w)).backward()
+        T.tsum(T.mul(block(xt, store, "b", 2, causal=True, past=past),
+                     Tensor(w))).backward()
         grads = {n: p.grad for n, p in store.params.items()}
         store.zero_grad()
         return xt.grad, grads
@@ -207,7 +232,7 @@ def test_causal_mask_is_the_triu_mask(monkeypatch, t_past):
             block(Tensor(head), store, "b", 2, causal=True, past=past)
         xt = Tensor(x, requires_grad=True)
         out = block(xt, store, "b", 2, causal=True, past=past)
-        T.tsum(out * Tensor(w)).backward()
+        T.tsum(T.mul(out, Tensor(w))).backward()
         grads = {n: p.grad for n, p in store.params.items()}
         store.zero_grad()
         return out.data, xt.grad, grads

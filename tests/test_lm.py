@@ -9,7 +9,7 @@ from seglang.lm import DecodeCache, SegState, next_token_loss, top_k_attribute
 from seglang.model import Model
 from seglang.scenes import default_vocab
 from seglang.sequence import InterleavedSequence
-from seglang.tensor import ShapeError, Tensor, concat, tslice, tsum
+from seglang.tensor import ShapeError, Tensor, add, concat, mul, tslice, tsum
 from seglang.suites import make_toy_config, make_toy_sample
 
 
@@ -103,7 +103,7 @@ def test_read_rows_match_the_full_rows(cfg):
                                targets)
         total = loss
         for st, w in zip(states, weights):
-            total = total + tsum(concat([st.hidden, st.logits]) * Tensor(w))
+            total = add(total, tsum(mul(concat([st.hidden, st.logits]), Tensor(w))))
         model.store.zero_grad()
         total.backward()
         grads = {n: p.grad for n, p in model.store.params.items()

@@ -174,7 +174,8 @@ def test_bad_sample_line_names_the_file_and_line(tiny_split, tmp_path, bad,
 
 @pytest.mark.parametrize("field,value", [("task", "segmentt"), ("ilvc", "no"),
                                          ("ilvc", 1), ("instruction", 7),
-                                         ("response", None), ("description", 3)])
+                                         ("response", None), ("description", 3),
+                                         ("regions", [])])
 def test_sample_record_with_a_bad_field_is_refused(tiny_split, tmp_path, field,
                                                    value):
     split = tmp_path / "train"

@@ -36,13 +36,13 @@ def test_local_crop_uses_position_prefix():
     cfg, store = fresh()
     rng = np.random.default_rng(2)
     region = rng.random((cfg.local_res, cfg.local_res, 3))
-    before = encode(region, store, cfg, "sem_enc").values.numpy()
+    before = encode(region, store, cfg, "sem_enc").values.data.copy()
     t_local = (cfg.local_res // cfg.patch) ** 2
     store["sem_enc.pos"].data[t_local:] += 7.0  # rows past the crop length
-    after = encode(region, store, cfg, "sem_enc").values.numpy()
+    after = encode(region, store, cfg, "sem_enc").values.data.copy()
     assert np.array_equal(before, after)
     store["sem_enc.pos"].data[0] += 1.0
-    again = encode(region, store, cfg, "sem_enc").values.numpy()
+    again = encode(region, store, cfg, "sem_enc").values.data.copy()
     assert not np.array_equal(before, again)
 
 
@@ -130,10 +130,10 @@ def test_encode_local_is_semantic_only():
     cfg, store = fresh()
     rng = np.random.default_rng(8)
     region = rng.random((cfg.local_res, cfg.local_res, 3))
-    base = encode_local(region, store, cfg).values.numpy()
+    base = encode_local(region, store, cfg).values.data.copy()
     store["pix_enc.patch.w"].data += 1.0
     store["mlp_p.fc1.w"].data += 1.0
-    assert np.array_equal(base, encode_local(region, store, cfg).values.numpy())
+    assert np.array_equal(base, encode_local(region, store, cfg).values.data.copy())
     with pytest.raises(ShapeError, match="encode_local"):
         encode_local(rng.random((cfg.local_res + cfg.patch,
                                  cfg.local_res, 3)), store, cfg)

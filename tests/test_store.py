@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from seglang.store import CheckpointError, ParamStore, grad_check
-from seglang.tensor import Tensor, tsum
+from seglang.tensor import Tensor, add, mul, tsum
 
 
 def small_store():
@@ -340,7 +340,7 @@ def test_grad_check_full_and_sampled():
     store.add("b", Tensor(rng.standard_normal(2)))
 
     def loss():
-        out = store["w"] * store["w"] + store["b"] * 0.5
+        out = add(mul(store["w"], store["w"]), mul(store["b"], 0.5))
         return tsum(out)
 
     full = grad_check(store, loss)
@@ -357,6 +357,6 @@ def test_grad_check_restores_values_and_clears_grads():
     store = ParamStore()
     store.add("w", Tensor(np.array([1.0, 2.0])))
     before = store["w"].data.copy()
-    grad_check(store, lambda: tsum(store["w"] * store["w"]))
+    grad_check(store, lambda: tsum(mul(store["w"], store["w"])))
     assert np.array_equal(store["w"].data, before)
     assert store["w"].grad is None

@@ -53,7 +53,7 @@ def check_op(op, arrays, seed=0):
                            for a in leaves]).data * w).sum())
 
     out = op(*leaves)
-    T.tsum(out * Tensor(w)).backward()
+    T.tsum(T.mul(out, Tensor(w))).backward()
     for leaf, arr in zip(leaves, arrays):
         numeric = fd_grad(loss, arr)
         assert leaf.grad is not None, "leaf got no gradient"
@@ -74,15 +74,6 @@ def test_matmul_matches_triple_loop():
                 want[i, j] += a[i, k] * b[k, j]
     got = T.matmul(Tensor(a), Tensor(b)).data
     assert np.allclose(got, want, atol=1e-12)
-
-
-def test_batched_matmul_matches_loop():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((2, 3, 4))
-    b = rng.standard_normal((2, 4, 5))
-    got = T.matmul(Tensor(a), Tensor(b)).data
-    for h in range(2):
-        assert np.allclose(got[h], a[h] @ b[h], atol=1e-12)
 
 
 def test_softmax_matches_direct_formula():
@@ -148,7 +139,7 @@ def test_layer_norm_is_bit_identical_to_mean_and_var(width):
             g = rng.standard_normal((rows, width))
             leaf = Tensor(x, requires_grad=True)
             out = T.layer_norm(leaf)
-            T.tsum(out * Tensor(g)).backward()
+            T.tsum(T.mul(out, Tensor(g))).backward()
             want, want_grad = numpy_layer_norm(x, g)
             assert_bits_equal(out.data, want)
             assert_bits_equal(leaf.grad, want_grad)
@@ -165,7 +156,7 @@ def run_kernel(op, arrays, seed):
     leaves = [Tensor(a, requires_grad=True) for a in arrays]
     out = op(*leaves)
     g = np.random.default_rng(seed).standard_normal(out.shape)
-    T.tsum(out * Tensor(g)).backward()
+    T.tsum(T.mul(out, Tensor(g))).backward()
     return out.data, [leaf.grad for leaf in leaves], g
 
 
@@ -295,13 +286,13 @@ def test_attend_keeps_negative_zero_scores_bit_identical(masked):
 def test_linear_function_gradient_is_exact():
     # d/dw sum(3 w) == 3 with no roundoff; the tape must reproduce it bitwise
     w = Tensor(np.arange(12, dtype=np.float64).reshape(3, 4), requires_grad=True)
-    T.tsum(w * 3.0).backward()
+    T.tsum(T.mul(w, 3.0)).backward()
     assert np.array_equal(w.grad, np.full((3, 4), 3.0))
 
 
 def test_two_uses_accumulate():
     x = Tensor(np.ones(5), requires_grad=True)
-    T.tsum(x + x).backward()
+    T.tsum(T.add(x, x)).backward()
     assert np.array_equal(x.grad, np.full(5, 2.0))
 
 
@@ -311,12 +302,11 @@ def test_elementwise_grads():
     rng = np.random.default_rng(10)
     a34 = rng.standard_normal((3, 4))
     b34 = rng.standard_normal((3, 4))
-    check_op(lambda a, b: a + b, [a34.copy(), b34.copy()])
-    check_op(lambda a, b: a * b, [a34.copy(), b34.copy()])
-    check_op(lambda a, b: a - b, [a34.copy(), b34.copy()])
+    check_op(T.add, [a34.copy(), b34.copy()])
+    check_op(T.mul, [a34.copy(), b34.copy()])
     denom = rng.standard_normal((3, 4))
     denom += np.sign(denom) + np.where(denom == 0, 1.0, 0.0)
-    check_op(lambda a, b: a / b, [a34.copy(), denom])
+    check_op(T.div, [a34.copy(), denom])
 
 
 def test_broadcast_grads():
@@ -325,15 +315,13 @@ def test_broadcast_grads():
     for sa, sb in pairs:
         a = rng.standard_normal(sa)
         b = rng.standard_normal(sb)
-        check_op(lambda x, y: x * y + x + y, [a, b])
+        check_op(lambda x, y: T.add(T.add(T.mul(x, y), x), y), [a, b])
 
 
 def test_matmul_grads():
     rng = np.random.default_rng(12)
     check_op(T.matmul, [rng.standard_normal((3, 4)),
                         rng.standard_normal((4, 2))])
-    check_op(T.matmul, [rng.standard_normal((2, 3, 4)),
-                        rng.standard_normal((2, 4, 2))])
 
 
 def test_affine_grads():
@@ -356,13 +344,10 @@ def test_attend_grads():
 def test_shape_op_grads():
     rng = np.random.default_rng(13)
     x = rng.standard_normal((3, 4, 2))
-    check_op(lambda a: T.transpose(a, (2, 0, 1)), [x.copy()])
-    check_op(lambda a: T.transpose(a), [rng.standard_normal((3, 5))])
+    check_op(T.transpose, [rng.standard_normal((3, 5))])
     check_op(lambda a: T.reshape(a, (6, 4)), [x.copy()])
-    check_op(lambda a, b: T.concat([a, b], axis=0),
+    check_op(lambda a, b: T.concat([a, b]),
              [rng.standard_normal((2, 3)), rng.standard_normal((4, 3))])
-    check_op(lambda a, b: T.concat([a, b], axis=1),
-             [rng.standard_normal((2, 3)), rng.standard_normal((2, 5))])
     check_op(lambda a: T.tslice(a, (slice(1, 3), slice(None))),
              [rng.standard_normal((4, 5))])
     check_op(lambda a: T.tslice(a, np.array([2, 0, 3])),
@@ -373,10 +358,7 @@ def test_reduction_grads():
     rng = np.random.default_rng(14)
     x = rng.standard_normal((3, 5))
     check_op(T.tsum, [x.copy()])
-    check_op(lambda a: T.tsum(a, axis=0), [x.copy()])
-    check_op(lambda a: T.tsum(a, axis=1), [x.copy()])
     check_op(T.tmean, [x.copy()])
-    check_op(lambda a: T.tmean(a, axis=1), [x.copy()])
 
 
 def test_nonlinearity_grads():
@@ -422,20 +404,14 @@ def test_clip_gradient_gate_is_exact():
 
 def test_slices_copy_not_alias():
     x = Tensor(np.arange(6, dtype=np.float64))
-    piece = x[1:4]
+    piece = T.tslice(x, slice(1, 4))
     piece.data[:] = 99.0
     assert np.array_equal(x.data, np.arange(6, dtype=np.float64))
 
 
-def test_numpy_returns_copy():
-    x = Tensor(np.zeros(3))
-    x.numpy()[0] = 5.0
-    assert x.data[0] == 0.0
-
-
 def test_backward_frees_tape_keeps_leaf_grads():
     x = Tensor(np.ones(4), requires_grad=True)
-    mid = x * 2.0
+    mid = T.mul(x, 2.0)
     T.tsum(mid).backward()
     assert np.array_equal(x.grad, np.full(4, 2.0))
     assert mid.grad is None
@@ -452,10 +428,11 @@ def test_gradients_never_share_memory_and_accumulate_exactly():
 
     def loss():
         a, b, c = leaves
-        s = a + b
-        cat = T.concat([s, T.transpose(c)], axis=0)
-        return T.tsum(cat * w1) + T.tsum(T.reshape(s, (3, 2)) * w2) \
-            + T.tsum(c[1] * w3)
+        s = T.add(a, b)
+        cat = T.concat([s, T.transpose(c)])
+        return T.add(T.add(T.tsum(T.mul(cat, w1)),
+                           T.tsum(T.mul(T.reshape(s, (3, 2)), w2))),
+                     T.tsum(T.mul(T.tslice(c, 1), w3)))
 
     loss().backward()
     first = [leaf.grad.copy() for leaf in leaves]
@@ -471,7 +448,7 @@ def test_gradients_never_share_memory_and_accumulate_exactly():
 def test_first_gradient_from_a_view_is_stored_c_contiguous():
     # transpose's backward hands its parent a transposed view of its grad
     x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-    T.tsum(T.transpose(x) * Tensor(np.arange(6.0).reshape(3, 2))).backward()
+    T.tsum(T.mul(T.transpose(x), Tensor(np.arange(6.0).reshape(3, 2)))).backward()
     assert x.grad.flags.c_contiguous
     assert np.array_equal(x.grad, np.arange(6.0).reshape(3, 2).T)
 
@@ -479,9 +456,10 @@ def test_first_gradient_from_a_view_is_stored_c_contiguous():
 def test_slice_backward_adds_into_an_existing_gradient():
     x = Tensor(np.zeros((4, 3)), requires_grad=True)
     w = np.arange(12.0).reshape(4, 3)
-    T.tsum(x * Tensor(w)).backward()
+    T.tsum(T.mul(x, Tensor(w))).backward()
     # a second pass slices into the leaf's kept gradient, twice over row 1
-    (T.tsum(x[1:3] * 2.0) + T.tsum(x[1])).backward()
+    T.add(T.tsum(T.mul(T.tslice(x, slice(1, 3)), 2.0)),
+          T.tsum(T.tslice(x, 1))).backward()
     want = w.copy()
     want[1:3] += 2.0
     want[1] += 1.0
@@ -494,7 +472,7 @@ def test_forward_backward_twice_same_grads():
 
     def run():
         x.grad = None
-        T.tsum(softmax(x) * x).backward()
+        T.tsum(T.mul(softmax(x), x)).backward()
         return x.grad.copy()
 
     assert np.array_equal(run(), run())
@@ -503,7 +481,7 @@ def test_forward_backward_twice_same_grads():
 def test_no_grad_leaf_stays_untouched():
     x = Tensor(np.ones(3), requires_grad=False)
     y = Tensor(np.ones(3), requires_grad=True)
-    T.tsum(x * y).backward()
+    T.tsum(T.mul(x, y)).backward()
     assert x.grad is None
     assert y.grad is not None
 
@@ -567,6 +545,28 @@ def test_shape_errors_name_the_shapes():
     with pytest.raises(ShapeError, match="attend"):
         T.attend(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))),
                  Tensor(np.ones((4, 2))), 1)
+
+
+def test_each_op_has_one_spelling():
+    # no operator sugar, no numpy() copy, no axis or batch arguments
+    a, b = Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2)))
+    for sugar in (lambda: a + b, lambda: 1.0 + a, lambda: a * 2.0,
+                  lambda: 2.0 * a, lambda: -a, lambda: a - b, lambda: 1.0 - a,
+                  lambda: a / b, lambda: a @ b, lambda: a[0]):
+        with pytest.raises(TypeError):
+            sugar()
+    assert not hasattr(a, "numpy")
+    rng = np.random.default_rng(0)
+    for removed in (lambda: T.tsum(a, axis=0), lambda: T.tmean(a, axis=1),
+                    lambda: T.log_softmax(a, axis=-1),
+                    lambda: T.concat([a, b], axis=1),
+                    lambda: T.transpose(a, axes=(1, 0)),
+                    lambda: T.zeros((2,), requires_grad=True),
+                    lambda: T.randn((2,), rng, requires_grad=True)):
+        with pytest.raises(TypeError):
+            removed()
+    with pytest.raises(ShapeError, match="ranks"):
+        T.matmul(Tensor(np.ones((2, 2, 3))), Tensor(np.ones((2, 3, 4))))
 
 
 # ---- BLAS threads -----------------------------------------------------------

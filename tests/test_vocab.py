@@ -79,3 +79,16 @@ def test_load_rejects_a_repeated_or_unknown_section(tmp_path, extra, why):
     with pytest.raises(ValueError, match=why) as err:
         Vocab.load(str(p))
     assert str(p) in str(err.value)
+
+
+def test_load_refuses_sections_out_of_file_order(tmp_path):
+    # ids follow file order: a file with `# words` first would have loaded
+    # with the colors' ids in the words' place
+    sections = default_vocab().sections
+    p = tmp_path / "vocab.txt"
+    p.write_text("".join(f"# {key}\n" + "".join(t + "\n" for t in sections[key])
+                         for key in ("specials", "words", "colors", "locations",
+                                     "categories")))
+    with pytest.raises(ValueError, match="out-of-order section 'words'") as err:
+        Vocab.load(str(p))
+    assert str(p) in str(err.value)
