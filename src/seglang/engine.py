@@ -1,11 +1,11 @@
 """Token-driven generation loop with mask and crop events.
 
 Decoding proceeds one token at a time over the interleaved sequence: a
-prefill of the feature block alone plus one chunk for the instruction on a
-fork of its cache, then one cached LM call per step over the rows that step
+prefill of the feature block alone plus one chunk for the instruction on
+its cache, then one cached LM call per step over the rows that step
 appended; each reads only its last row's logits. A frozen model keeps the
 last image's feature block and its cache, so questions in a row about one
-image encode it and prefill its block once. A seg token
+image encode it and prefill its block once, each on a fork of it. A seg token
 triggers mask decoding against the cached raw pixel features and becomes the
 current mask; a region-marker token crops the current mask's bounding box,
 encodes it through the semantic branch, and splices the features into the
@@ -80,9 +80,9 @@ def prefill(model: Model, image: np.ndarray, instruction: list[int],
             seg_slot: bool = False):
     """Two-chunk prefill -> (seq, f_p_raw, cache, last-row logits, seg states):
     the feature block alone fills a DecodeCache, then the instruction (and a
-    forced seg slot) runs on a fork of it. A store with no parameter that
-    requires grad keeps the last image's block; a hit runs the same chunks,
-    so no output depends on the memo."""
+    forced seg slot) runs on it, or on a fork of it when a store with no
+    parameter that requires grad keeps the last image's block and its cache;
+    a hit runs the same chunks, so no output depends on the memo."""
     cfg, store = model.cfg, model.store
     img = sefe.check_image(image, cfg.patch)
     memo = store.frozen_memo(("",))   # "" prefixes every parameter's name
@@ -90,14 +90,14 @@ def prefill(model: Model, image: np.ndarray, instruction: list[int],
     # compared bit for bit, so -0.0 and 0.0 pixels are different images
     if entry is None or not np.array_equal(entry[0].view(np.uint64), img.view(np.uint64)):
         f_g, f_p_raw = model.encode_image(img)
-        cache = lm.DecodeCache(cfg.lm_layers)
+        cache = lm.DecodeCache(cfg)
         logits, _ = lm.forward(sequence.build_inference_prefix(f_g, [], model.vocab),
                                store, cfg, cache, rows=[f_g.tokens - 1])
         entry = (img.copy(), f_g, f_p_raw, cache, logits)
         if memo is not None:
             memo["prefill"] = entry
     _, f_g, f_p_raw, cache, logits = entry
-    cache = cache.fork()
+    cache = cache if memo is None else cache.fork()   # the memo's rows stay as they are
     seq = sequence.build_inference_prefix(f_g, instruction, model.vocab)
     if seg_slot:
         seq.append_seg(1, supervised=False)

@@ -58,31 +58,31 @@ def mlp_gelu(x: Tensor, store: ParamStore, prefix: str) -> Tensor:
 
 
 def attention(q_in: Tensor, kv_in: Tensor, store: ParamStore, prefix: str,
-              n_heads: int, causal: bool = False, past: dict | None = None,
+              n_heads: int, causal: bool = False, past: tuple | None = None,
               rows=None) -> Tensor:
     """Multi-head attention; `q_in` attends over `kv_in` (equal for self).
 
     q_in: T_q x D, kv_in: T_k x D; `rows`, when given, picks the query rows
     of `q_in`. Causal masking adds NEG_INF where a key's index exceeds the
     query's position, which underflows to an exact zero weight, so future
-    positions contribute nothing bit-wise. `past`, when given, holds the K and V
-    (in `attend`'s head layout, no tape) of the rows before `kv_in`: the queries
-    attend over past + new rows, and `past` is updated to cover the new rows too.
+    positions contribute nothing bit-wise. `past`, when given, is `attend`'s
+    (K buffer, V buffer, n) whose first n rows precede `kv_in`: the queries
+    attend over those and the new rows, which are written after them.
     """
     q = linear(q_in if rows is None else tslice(q_in, rows), store, f"{prefix}.q")
     k = linear(kv_in, store, f"{prefix}.k")
     v = linear(kv_in, store, f"{prefix}.v")
-    n_keys = k.shape[0] + (past["v"].shape[1] if past else 0)   # v: heads x T x d_head
-    at = np.arange(q_in.shape[0]) if rows is None else np.asarray(rows)
-    # only a query before the last row has keys in its future to mask
-    mask = np.where(np.arange(n_keys) > at[:, None] + n_keys - q_in.shape[0],
-                    NEG_INF, 0.0) if causal and (at < q_in.shape[0] - 1).any() else None
+    t, n_keys = q_in.shape[0], k.shape[0] + (0 if past is None else past[2])
+    mask = None   # only a query before the last row has keys in its future to mask
+    if causal and (t > 1 if rows is None else (np.asarray(rows) < t - 1).any()):
+        at = np.arange(t) if rows is None else np.asarray(rows)
+        mask = np.where(np.arange(n_keys) > at[:, None] + n_keys - t, NEG_INF, 0.0)
     heads, _ = attend(q, k, v, n_heads, mask, past)
     return linear(heads, store, f"{prefix}.o")
 
 
 def block(x: Tensor, store: ParamStore, prefix: str, n_heads: int,
-          causal: bool = False, past: dict | None = None, rows=None) -> Tensor:
+          causal: bool = False, past: tuple | None = None, rows=None) -> Tensor:
     """Pre-norm transformer block: attention residual, then MLP residual.
     Only `rows` of x (all when None) run the queries, residuals and MLP."""
     h = layer_norm(x)

@@ -7,7 +7,8 @@ the rows the caller reads plus one SegState per seg slot among them (the
 final-layer hidden at that position and the logits the output head produces
 from it). With a DecodeCache a pass runs only the rows appended since the
 previous one (incremental decoding); the engine prefills the feature block
-alone and runs the instruction on a fork of that cache.
+alone and runs the instruction on that cache, or on a fork of it when its
+memo keeps the block.
 """
 
 from __future__ import annotations
@@ -31,19 +32,23 @@ class SegState:
 
 
 class DecodeCache:
-    """Each LM layer's K and V for the first `length` rows of one sequence,
-    held as plain arrays in `tensor.attend`'s head layout, so a step splits
-    only its own rows into heads and the cache never keeps an autodiff tape."""
+    """Each LM layer's K (heads x d_head x max_seq) and V (heads x max_seq x
+    d_head) buffers for `tensor.attend`; the first `length` rows are filled.
+    `forward` writes a pass's rows in place after them and advances `length`
+    only when it returns, so a pass that raises changes no readable row."""
 
-    def __init__(self, n_layers: int):
-        self.length = 0
-        self.layers: list[dict] = [{} for _ in range(n_layers)]
+    def __init__(self, cfg):
+        self.cfg, self.length, h, dh = cfg, 0, cfg.n_heads, cfg.d_model // cfg.n_heads
+        self.layers = [(np.empty((h, dh, cfg.max_seq)), np.empty((h, cfg.max_seq, dh)))
+                       for _ in range(cfg.lm_layers)]
 
     def fork(self) -> "DecodeCache":
-        """A copy sharing the arrays, which `layers.attention` rebinds and never
-        writes into: rows run on the copy leave this cache as it was."""
-        twin = DecodeCache(0)
-        twin.length, twin.layers = self.length, [dict(d) for d in self.layers]
+        """A cache with its own copy of the filled rows: rows that either one
+        runs later stay unseen by the other."""
+        twin = DecodeCache(self.cfg)
+        twin.length = n = self.length
+        for (k, v), (k2, v2) in zip(self.layers, twin.layers):
+            k2[:, :, :n], v2[:, :n] = k[:, :, :n], v[:, :n]
         return twin
 
 
@@ -73,7 +78,8 @@ def forward(seq: InterleavedSequence, store: ParamStore, cfg,
     if n > cfg.max_seq:
         raise ShapeError(f"sequence length {n} exceeds max_seq {cfg.max_seq}")
     read = np.arange(start, n) if rows is None else np.asarray(rows, np.int64)
-    if not read.size or read[0] < start or read[-1] >= n or (np.diff(read) < 1).any():
+    if not read.size or read[0] < start or read[-1] >= n \
+            or (read.size > 1 and (np.diff(read) < 1).any()):
         raise ShapeError(
             f"forward: rows {read.tolist()} not increasing in [{start}, {n})")
 
@@ -100,7 +106,7 @@ def forward(seq: InterleavedSequence, store: ParamStore, cfg,
     last = cfg.lm_layers - 1 if read.size < n - start else None
     for i in range(cfg.lm_layers):
         x = layers.block(x, store, f"lm.blk{i}", cfg.n_heads, causal=True,
-                         past=None if cache is None else cache.layers[i],
+                         past=None if cache is None else (*cache.layers[i], start),
                          rows=read - start if i == last else None)
     hidden = layer_norm(x)
     logits = layers.linear(hidden, store, "lm.head")

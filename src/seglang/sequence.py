@@ -10,7 +10,8 @@ position. At inference the engine appends to a bare prefix instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,9 +50,15 @@ class RegionCrop:
 
 
 class InterleavedSequence:
+    """Elements, with running views of their rows that `len()` and `layout()`
+    extend by the elements added since the last call. Append through the
+    methods or `elements.append`, cut only the tail (`del elements[k:]`) or
+    rebind `elements`; never replace or edit an element in the middle."""
+
     def __init__(self, vocab: Vocab):
         self.vocab = vocab
         self.elements: list = []
+        self._list = None   # the list whose prefix the views cover
 
     # -- construction --------------------------------------------------------
 
@@ -66,36 +73,37 @@ class InterleavedSequence:
 
     # -- flat views ----------------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self.elements) + sum(e.grid.tokens - 1 for e in self.elements
-                                        if isinstance(e, FeatureBlock))
+    def __len__(self) -> int:   # the row count, once the views cover every element
+        els = self.elements
+        if els is not self._list:   # a new list: start over
+            self._list, self._ends, self._segs, self._spans = els, [], [], []
+            self._ids, self._sup = array("q"), array("b")
+        ends, ids, sup = self._ends, self._ids, self._sup   # ends: (e, rows, segs, spans)
+        k = min(len(ends), len(els))
+        while k and els[k - 1] is not ends[k - 1][0]:
+            k -= 1
+        if k < len(ends):   # the tail was cut: drop its rows
+            _, rows, segs, spans = ends[k - 1] if k else (None, 0, 0, 0)
+            del ends[k:], ids[rows:], sup[rows:], self._segs[segs:], self._spans[spans:]
+        for e in els[k:]:
+            if isinstance(e, FeatureBlock):
+                self._spans.append((len(ids), len(ids) + e.grid.tokens, e))
+                ids.extend([self.vocab.pad] * e.grid.tokens)
+                sup.frombytes(bytes(e.grid.tokens))
+            else:
+                if isinstance(e, SegSlot):
+                    self._segs.append(len(ids))
+                ids.append(self.vocab.seg if isinstance(e, SegSlot) else e.token_id)
+                sup.append(bool(e.supervised))
+            ends.append((e, len(ids), len(self._segs), len(self._spans)))
+        return len(ids)
 
     def layout(self):
-        """Flatten to (token_ids, supervised, seg_positions, feat_spans).
-
-        token_ids carries the pad id at feature positions; those positions
-        are never supervised, so the filler never reaches a loss.
-        """
-        n = len(self)
-        token_ids = np.full(n, self.vocab.pad, dtype=np.int64)
-        supervised = np.zeros(n, dtype=bool)
-        seg_positions: list[int] = []
-        feat_spans: list[tuple[int, int, FeatureBlock]] = []
-        pos = 0
-        for e in self.elements:
-            if isinstance(e, FeatureBlock):
-                feat_spans.append((pos, pos + e.grid.tokens, e))
-                pos += e.grid.tokens
-            elif isinstance(e, SegSlot):
-                token_ids[pos] = self.vocab.seg
-                supervised[pos] = e.supervised
-                seg_positions.append(pos)
-                pos += 1
-            else:
-                token_ids[pos] = e.token_id
-                supervised[pos] = e.supervised
-                pos += 1
-        return token_ids, supervised, seg_positions, feat_spans
+        """(token_ids, supervised, seg_positions, feat_spans), owned by the
+        caller; token_ids has the pad id at feature rows, never supervised."""
+        len(self)
+        return (np.array(self._ids, np.int64), np.array(self._sup, bool),
+                list(self._segs), list(self._spans))
 
     def kinds(self) -> list[str]:
         """Element-kind signature, for structural assertions."""

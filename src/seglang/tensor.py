@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
+_F64 = np.dtype(np.float64)   # a Tensor's data: C-contiguous, in this dtype
+
 
 class ShapeError(ValueError):
     """Raised when operand shapes are incompatible for an op."""
@@ -31,7 +33,8 @@ class ShapeError(ValueError):
 
 def _as_f64(values) -> np.ndarray:
     # note: not ascontiguousarray, which would promote 0-d scalars to (1,)
-    arr = np.asarray(values, dtype=np.float64)
+    arr = values if type(values) is np.ndarray and values.dtype is _F64 \
+        else np.asarray(values, dtype=np.float64)
     return arr if arr.flags.c_contiguous else arr.copy()
 
 
@@ -212,9 +215,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b as one tape node (x: N x D_in, w: D_in x D_out, b: D_out)."""
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] \
-            or b.shape != (w.shape[1],):
-        raise ShapeError(f"affine: shapes {x.shape} @ {w.shape} + {b.shape}")
+    xs, ws = x.data.shape, w.data.shape
+    if len(xs) != 2 or len(ws) != 2 or xs[1] != ws[0] or b.data.shape != (ws[1],):
+        raise ShapeError(f"affine: shapes {xs} @ {ws} + {b.shape}")
     out_data = np.matmul(x.data, w.data)
     out_data += b.data
 
@@ -231,14 +234,15 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
            mask: np.ndarray | None = None,
-           past: dict | None = None) -> tuple[Tensor, np.ndarray]:
+           past: tuple | None = None) -> tuple[Tensor, np.ndarray]:
     """Multi-head softmax(q @ kᵀ / √d_head + mask) @ v as one tape node.
 
     q: T_q x D, k and v: T_k x D; the node splits the rows into n_heads heads
     and merges them back, and returns (T_q x D out, heads x T_q x T_k
-    weights). `past`, when given, holds earlier rows' keys (heads x d_head x
-    T) and values (heads x T x d_head), without tape: the queries attend over
-    them too, and `past` grows by k and v. Values and gradients match the
+    weights). `past`, when given, is (K, V, n): tape-free heads x d_head x cap
+    keys and heads x cap x d_head values whose first n rows precede k and v,
+    which are written in place after them; the queries attend over views of
+    all the rows, so no earlier row is copied. Values and gradients match the
     unfused op chain bit for bit, but no T_q x T_k array stays on the tape."""
     if q.ndim != 2 or k.shape != v.shape or k.ndim != 2 \
             or k.shape[1] != q.shape[1] or q.shape[1] % n_heads:
@@ -255,12 +259,13 @@ def attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(-1, d)
 
     qh, vh = heads(q.data), heads(v.data)
-    kt = np.ascontiguousarray(k.data.reshape(-1, n_heads, dh).transpose(1, 2, 0))
-    if past is not None:
-        if past:
-            kt = np.concatenate((past["k"], kt), axis=2)
-            vh = np.concatenate((past["v"], vh), axis=1)
-        past["k"], past["v"] = kt, vh
+    kt = k.data.reshape(-1, n_heads, dh).transpose(1, 2, 0)
+    if past is None:
+        kt = np.ascontiguousarray(kt)
+    else:   # write the new rows in place, then attend over the filled prefix
+        kbuf, vbuf, n = past
+        kbuf[:, :, n:n + k.shape[0]], vbuf[:, n:n + k.shape[0]] = kt, vh
+        kt, vh = kbuf[:, :, :n + k.shape[0]], vbuf[:, :n + k.shape[0]]
     new = slice(kt.shape[2] - k.shape[0], None)   # cached rows take no gradient
     weights = np.matmul(qh, kt)   # scores, then softmax weights, in place
     weights *= scale
@@ -277,12 +282,15 @@ def attend(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         gy *= weights
         if v.requires_grad:
             v._accumulate(rows(np.matmul(weights.swapaxes(-1, -2), g)[:, new]), True)
-        gs = np.subtract(gy, weights * gy.sum(axis=-1, keepdims=True), out=gy)
-        gs *= scale
+        del g   # from here on the peak is gy plus a quarter of it
+        s, b = gy.sum(axis=-1, keepdims=True), max(1, -(-gy.shape[1] // 4))
+        for i in range(0, gy.shape[1], b):   # gy -= weights * s by row blocks
+            gy[:, i:i + b] -= weights[:, i:i + b] * s[:, i:i + b]
+        gy *= scale
         if q.requires_grad:
-            q._accumulate(rows(np.matmul(gs, kt.swapaxes(-1, -2))), True)
+            q._accumulate(rows(np.matmul(gy, kt.swapaxes(-1, -2))), True)
         if k.requires_grad:
-            k._accumulate(rows(np.matmul(qh.swapaxes(-1, -2), gs).swapaxes(1, 2)[:, new]),
+            k._accumulate(rows(np.matmul(qh.swapaxes(-1, -2), gy).swapaxes(1, 2)[:, new]),
                           True)
 
     return _make(out_data, (q, k, v), backward), weights

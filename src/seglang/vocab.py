@@ -4,8 +4,8 @@ The token inventory is fixed at data-generation time: six control tokens in
 a fixed header, then the attribute lexicons (colors, locations, categories),
 then the remaining scaffold words. Ids follow file order, so the file is the
 single source of truth for id assignment. A file must hold each `# <section>`
-header once and in that order; a repeated, unknown or out-of-order header
-raises a ValueError naming the file and the section.
+header once and in that order. Every fault, a repeated, unknown or
+out-of-order header or an invalid vocabulary, raises a ValueError naming the file.
 """
 
 from __future__ import annotations
@@ -90,4 +90,7 @@ class Vocab:
                     raise ValueError(f"vocab file {path}: token before any section")
                 else:
                     sections[current].append(line)
-        return cls(sections)
+        try:
+            return cls(sections)
+        except ValueError as exc:
+            raise ValueError(f"vocab file {path}: {exc}") from exc

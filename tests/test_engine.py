@@ -326,6 +326,45 @@ def test_cached_decoding_matches_full_recompute(cfg):
     assert_matches_oracle(result, oracle, cfg.threshold)
 
 
+def test_a_scripted_episode_fills_the_default_context():
+    # seg, crop and text steps until the next region no longer fits in the
+    # default max_seq: the cache grows row by row to the end, and every step's
+    # logits equal an uncached pass over the whole sequence
+    cfg = RunConfig(seed=11)
+    vocab = default_vocab()
+    model = Model(cfg, vocab, np.random.default_rng(cfg.seed))
+    set_nonempty(model, True)
+    image = np.random.default_rng(cfg.seed + 7).random((cfg.canvas, cfg.canvas, 3))
+    instruction = prompt_template("gcg", True, vocab)
+    words = vocab.encode("the red square")
+    script = [vocab.seg, vocab.image_id, vocab.p_open, *words, vocab.p_close] * 20
+
+    def scripted():
+        it = iter(script)
+        return lambda row: next(it)
+
+    result = _episode(model, image, instruction, True, len(script), scripted(),
+                      record_logits=True)
+    assert result.end_reason == "context_full"
+    consumed = len(result.output_tokens)
+    f_g, _ = model.encode_image(image)
+    local = encode_local(np.zeros((cfg.local_res, cfg.local_res, 3)),
+                         model.store, cfg).tokens
+    rows = f_g.tokens + len(instruction) + consumed \
+        + local * result.output_tokens.count(vocab.image_id)
+    need = 1 + (local if script[consumed] == vocab.image_id else 0)
+    assert rows <= cfg.max_seq < rows + need
+    # the oracle also takes the refused token, after reading its logits
+    output, trace, masks, logits_log = full_recompute_episode(
+        model, image, instruction, True, consumed + 1, scripted())
+    assert result.output_tokens == output[:-1] and result.trace == trace[:-1]
+    assert len(result.masks) == len(masks)
+    assert all(np.max(np.abs(a - b)) <= 1e-12 for a, b in zip(result.masks, masks))
+    assert len(result.logits_log) == len(logits_log) == consumed + 1
+    for got, want in zip(result.logits_log, logits_log):
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS,
                          ids=[f"toy{s}" for s in range(4)] + ["default"])
 def test_two_chunk_prefill_matches_one_pass(cfg):

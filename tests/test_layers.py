@@ -72,14 +72,21 @@ def merge_heads(x):
     return T.reshape(permute(x, (1, 0, 2)), (t, h * dh))
 
 
+def kv_buffers(rows, d=6, n_heads=2):
+    """Empty K and V buffers in attend's head layout, with two spare rows."""
+    dh = d // n_heads
+    return np.empty((n_heads, dh, rows + 2)), np.empty((n_heads, rows + 2, dh))
+
+
 def unfused_attend(q, k, v, n_heads, mask=None, past=None):
-    if past is not None:   # earlier rows' K and V in attend's head layout
+    if past is not None:   # (K buffer, V buffer, n) in attend's head layout
+        kbuf, vbuf, n = past
         d, dh = k.shape[1], k.shape[1] // n_heads
-        if past:
-            k = T.concat([Tensor(past["k"].transpose(2, 0, 1).reshape(-1, d)), k])
-            v = T.concat([Tensor(past["v"].transpose(1, 0, 2).reshape(-1, d)), v])
-        past["k"] = k.data.reshape(-1, n_heads, dh).transpose(1, 2, 0).copy()
-        past["v"] = v.data.reshape(-1, n_heads, dh).transpose(1, 0, 2).copy()
+        if n:   # out of place: the earlier rows concatenated before the new
+            k = T.concat([Tensor(kbuf[:, :, :n].transpose(2, 0, 1).reshape(-1, d)), k])
+            v = T.concat([Tensor(vbuf[:, :n].transpose(1, 0, 2).reshape(-1, d)), v])
+        kbuf[:, :, :k.shape[0]] = k.data.reshape(-1, n_heads, dh).transpose(1, 2, 0)
+        vbuf[:, :v.shape[0]] = v.data.reshape(-1, n_heads, dh).transpose(1, 0, 2)
     q, k, v = (split_heads(x, n_heads) for x in (q, k, v))
     scale = 1.0 / np.sqrt(q.shape[2])
     scores = T.mul(bmm(q, permute(k, (0, 2, 1))), scale)
@@ -168,22 +175,22 @@ def test_attend_with_past_equals_attend_over_all_keys(t_past, t_new, causal):
     mask = np.triu(np.full((t_new, t_k), NEG_INF), k=1 + t_past) if causal else None
 
     def cached(q, k, v):
-        past: dict = {}
-        T.attend(Tensor(k0), Tensor(k0), Tensor(v0), 2, None, past)
-        out, weights = T.attend(q, k, v, 2, mask, past)
-        return out, (weights, past)
+        kv = kv_buffers(t_k)
+        T.attend(Tensor(k0), Tensor(k0), Tensor(v0), 2, None, (*kv, 0))
+        out, weights = T.attend(q, k, v, 2, mask, (*kv, t_past))
+        return out, (weights, kv)
 
     def full(q, k, v):
         k_all, v_all = T.concat([Tensor(k0), k]), T.concat([Tensor(v0), v])
         out, weights = T.attend(q, k_all, v_all, 2, mask)
         return out, (weights, k_all.data, v_all.data)
 
-    got, (w_got, past), g_got = run_with_grads(cached, [q, k, v], 4)
+    got, (w_got, (kbuf, vbuf)), g_got = run_with_grads(cached, [q, k, v], 4)
     want, (w_want, k_all, v_all), g_want = run_with_grads(full, [q, k, v], 4)
     assert np.array_equal(got, want) and np.array_equal(w_got, w_want)
     assert all(np.array_equal(a, b) for a, b in zip(g_got, g_want))
-    assert np.array_equal(past["k"], k_all.reshape(t_k, 2, 3).transpose(1, 2, 0))
-    assert np.array_equal(past["v"], v_all.reshape(t_k, 2, 3).transpose(1, 0, 2))
+    assert np.array_equal(kbuf[:, :, :t_k], k_all.reshape(t_k, 2, 3).transpose(1, 2, 0))
+    assert np.array_equal(vbuf[:, :t_k], v_all.reshape(t_k, 2, 3).transpose(1, 0, 2))
 
 
 def test_block_grads_match_the_unfused_tape(monkeypatch):
@@ -196,10 +203,10 @@ def test_block_grads_match_the_unfused_tape(monkeypatch):
     w = rng.standard_normal((5, 6))
 
     def run():
-        past: dict = {}
-        block(Tensor(head), store, "b", 2, causal=True, past=past)
+        kv = kv_buffers(8)
+        block(Tensor(head), store, "b", 2, causal=True, past=(*kv, 0))
         xt = Tensor(x, requires_grad=True)
-        T.tsum(T.mul(block(xt, store, "b", 2, causal=True, past=past),
+        T.tsum(T.mul(block(xt, store, "b", 2, causal=True, past=(*kv, 3)),
                      Tensor(w))).backward()
         grads = {n: p.grad for n, p in store.params.items()}
         store.zero_grad()
@@ -227,18 +234,18 @@ def test_causal_mask_is_the_triu_mask(monkeypatch, t_past):
     masks = []
 
     def run(x, w):
-        past: dict = {}
+        kv = kv_buffers(t_past + len(x))
         if t_past:
-            block(Tensor(head), store, "b", 2, causal=True, past=past)
+            block(Tensor(head), store, "b", 2, causal=True, past=(*kv, 0))
         xt = Tensor(x, requires_grad=True)
-        out = block(xt, store, "b", 2, causal=True, past=past)
+        out = block(xt, store, "b", 2, causal=True, past=(*kv, t_past))
         T.tsum(T.mul(out, Tensor(w))).backward()
         grads = {n: p.grad for n, p in store.params.items()}
         store.zero_grad()
         return out.data, xt.grad, grads
 
     def triu_attend(q, k, v, n_heads, mask, past):
-        t_k = k.shape[0] + (past["v"].shape[1] if past else 0)
+        t_k = k.shape[0] + past[2]
         want = np.triu(np.full((q.shape[0], t_k), NEG_INF), k=1 + t_k - q.shape[0])
         masks.append((mask, want))
         return T.attend(q, k, v, n_heads, want, past)
@@ -267,20 +274,20 @@ def test_block_query_rows_match_the_full_block(t_past):
     rows = np.array([0, 2, 5])
 
     def run(rows):
-        past: dict = {}
+        kbuf, vbuf = kv_buffers(len(x))
         if t_past:
-            block(Tensor(x[:t_past]), store, "b", 2, causal=True, past=past)
+            block(Tensor(x[:t_past]), store, "b", 2, causal=True, past=(kbuf, vbuf, 0))
         out = block(Tensor(x[t_past:]), store, "b", 2, causal=True,
-                    past=past, rows=rows)
-        return out.data, past
+                    past=(kbuf, vbuf, t_past), rows=rows)
+        return out.data, (kbuf[:, :, :len(x)], vbuf[:, :len(x)])
 
     full, full_past = run(None)
     part, part_past = run(rows)
     assert part.shape == (3, 6)
     assert np.max(np.abs(part - full[rows])) <= 1e-12
     # the keys and values still cover every row
-    for name in ("k", "v"):
-        assert np.array_equal(part_past[name], full_past[name])
+    for got, want in zip(part_past, full_past):
+        assert np.array_equal(got, want)
 
 
 def test_mlp_matches_manual():
@@ -337,13 +344,22 @@ def test_attention_with_past_matches_full_causal_rows(t0):
     init_attention(store, "a", 8, rng)
     x = rng.standard_normal((7, 8))
     full = attention(Tensor(x), Tensor(x), store, "a", 2, causal=True).data
-    past: dict = {}
+    kbuf, vbuf = kv_buffers(7, d=8)
+
+    def written(rows, name):   # the K or V rows of x[rows], in head layout
+        kv = linear(Tensor(x[rows]), store, f"a.{name}").data.reshape(-1, 2, 4)
+        return kv.transpose(1, 2, 0) if name == "k" else kv.transpose(1, 0, 2)
+
     head = attention(Tensor(x[:t0]), Tensor(x[:t0]), store, "a", 2,
-                     causal=True, past=past)
-    assert past["k"].shape == (2, 4, t0) and past["v"].shape == (2, t0, 4)
+                     causal=True, past=(kbuf, vbuf, 0))
+    assert np.array_equal(kbuf[:, :, :t0], written(slice(0, t0), "k"))
+    assert np.array_equal(vbuf[:, :t0], written(slice(0, t0), "v"))
     tail = attention(Tensor(x[t0:]), Tensor(x[t0:]), store, "a", 2,
-                     causal=True, past=past)
-    assert past["k"].shape == (2, 4, 7) and past["v"].shape == (2, 7, 4)
+                     causal=True, past=(kbuf, vbuf, t0))
+    assert kbuf.shape == (2, 4, 9) and vbuf.shape == (2, 9, 4)   # written in place
+    assert np.array_equal(kbuf[:, :, :t0], written(slice(0, t0), "k"))
+    assert np.array_equal(kbuf[:, :, t0:7], written(slice(t0, 7), "k"))
+    assert np.array_equal(vbuf[:, t0:7], written(slice(t0, 7), "v"))
     # fewer rows may take another BLAS kernel: equal up to rounding only
     assert np.max(np.abs(head.data - full[:t0])) <= 1e-12
     assert np.max(np.abs(tail.data - full[t0:])) <= 1e-12

@@ -8,7 +8,7 @@ from seglang.config import RunConfig
 from seglang.lm import DecodeCache, SegState, next_token_loss, top_k_attribute
 from seglang.model import Model
 from seglang.scenes import default_vocab
-from seglang.sequence import InterleavedSequence
+from seglang.sequence import InterleavedSequence, build_inference_prefix
 from seglang.tensor import ShapeError, Tensor, add, concat, mul, tslice, tsum
 from seglang.suites import make_toy_config, make_toy_sample
 
@@ -134,7 +134,7 @@ def test_bad_rows_raise_a_named_error():
             lm.forward(seq, model.store, cfg, rows=rows)
     part = InterleavedSequence(vocab)
     part.elements = list(seq.elements[:-1])
-    cache = DecodeCache(cfg.lm_layers)
+    cache = DecodeCache(cfg)
     lm.forward(part, model.store, cfg, cache, rows=[len(part) - 1])
     with pytest.raises(ShapeError, match="rows"):
         lm.forward(seq, model.store, cfg, cache, rows=[n - 2, n - 1])
@@ -227,7 +227,7 @@ def test_cached_forward_matches_full_pass(seed):
     # run a training sequence element by element through one cache
     vocab, cfg, model, _, seq = toy(seed, n_regions=2)
     full, full_states = lm.forward(seq, model.store, cfg)
-    cache = DecodeCache(cfg.lm_layers)
+    cache = DecodeCache(cfg)
     part = InterleavedSequence(vocab)
     rows, states = [], []
     for e in seq.elements:
@@ -247,7 +247,7 @@ def test_cached_forward_matches_full_pass(seed):
 def test_cached_one_row_step_slices_only_the_positions(monkeypatch):
     # a step reads every row it runs, so the last block takes all of them
     vocab, cfg, model, _, seq = toy(1)
-    cache = DecodeCache(cfg.lm_layers)
+    cache = DecodeCache(cfg)
     lm.forward(seq, model.store, cfg, cache, rows=[len(seq) - 1])
     seq.append_text(vocab.encode("red")[0], supervised=False)
     want, _ = lm.forward(seq, model.store, cfg)
@@ -258,6 +258,104 @@ def test_cached_one_row_step_slices_only_the_positions(monkeypatch):
     logits, _ = lm.forward(seq, model.store, cfg, cache, rows=[len(seq) - 1])
     assert sliced == [slice(len(seq) - 1, len(seq))]   # lm.pos rows only
     assert np.max(np.abs(logits.data[0] - want.data[-1])) <= 1e-12
+
+
+def decode_steps(seq, cache, model, cfg, steps):
+    """Append each (kind, arg) step and run it on `cache` -> per step the
+    last row's logits and the (hidden, logits) of its seg states."""
+    out = []
+    for kind, arg in steps:
+        if kind == "seg":
+            seq.append_seg(arg, supervised=False)
+        else:
+            seq.append_text(arg, supervised=False)
+        logits, states = lm.forward(seq, model.store, cfg, cache, rows=[len(seq) - 1])
+        out.append((logits.data.copy(),
+                    [(st.hidden.data.copy(), st.logits.data.copy()) for st in states]))
+    return out
+
+
+def assert_steps_bit_equal(got, want):
+    assert len(got) == len(want)
+    for (logits, states), (w_logits, w_states) in zip(got, want):
+        assert np.array_equal(logits, w_logits) and len(states) == len(w_states)
+        for (h, lg), (w_h, w_lg) in zip(states, w_states):
+            assert np.array_equal(h, w_h) and np.array_equal(lg, w_lg)
+
+
+def test_forks_of_one_cache_decode_independently():
+    # two forks of one prefilled cache take different tokens in turn; each
+    # gives the logits and seg states of a fresh run, bit for bit, and the
+    # parent's buffers are not written
+    vocab, cfg, model, sample, _ = toy(3)
+    f_g, _ = model.encode_image(sample.image)
+    words = vocab.encode("the red square")
+    scripts = ([("text", words[0]), ("seg", 1), ("text", words[1]), ("seg", 2)],
+               [("seg", 1), ("text", words[2]), ("seg", 2), ("text", words[2])])
+
+    def prefilled():
+        cache, seq = DecodeCache(cfg), build_inference_prefix(f_g, words, vocab)
+        lm.forward(seq, model.store, cfg, cache, rows=[len(seq) - 1])
+        return cache, seq
+
+    parent, _ = prefilled()
+    before = [(k.tobytes(), v.tobytes()) for k, v in parent.layers]
+    forks = [parent.fork(), parent.fork()]
+    seqs = [build_inference_prefix(f_g, words, vocab) for _ in forks]
+    got: list[list] = [[], []]
+    for i in range(4):
+        for j in (0, 1):
+            got[j] += decode_steps(seqs[j], forks[j], model, cfg, scripts[j][i:i + 1])
+    assert [(k.tobytes(), v.tobytes()) for k, v in parent.layers] == before
+    for j in (0, 1):
+        cache, seq = prefilled()
+        assert_steps_bit_equal(got[j], decode_steps(seq, cache, model, cfg, scripts[j]))
+    # the parent decodes on, and fork 0 after it still matches a fresh run
+    decode_steps(build_inference_prefix(f_g, words, vocab), parent, model, cfg,
+                 scripts[1])
+    more = [("text", words[1]), ("seg", 3)]
+    cache, seq = prefilled()
+    assert_steps_bit_equal(got[0] + decode_steps(seqs[0], forks[0], model, cfg, more),
+                           decode_steps(seq, cache, model, cfg, scripts[0] + more))
+
+
+def test_a_pass_that_raises_leaves_the_cache_as_it_was(monkeypatch):
+    # the second block raises after the first wrote its rows past `length`:
+    # every readable row stays as it was and the next pass is a fresh one's
+    vocab, cfg, model, _, seq = toy(3)
+    assert cfg.lm_layers == 2
+    part = InterleavedSequence(vocab)
+    part.elements = list(seq.elements[:-3])
+
+    def cached():
+        cache = DecodeCache(cfg)
+        lm.forward(part, model.store, cfg, cache)
+        return cache
+
+    cache = cached()
+    length = cache.length
+    filled = [(k[:, :, :length].copy(), v[:, :length].copy()) for k, v in cache.layers]
+    real = layers.block
+
+    def failing(x, store, prefix, *args, **kwargs):
+        if prefix == "lm.blk1":
+            raise RuntimeError("second block failed")
+        return real(x, store, prefix, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(layers, "block", failing)
+        with pytest.raises(RuntimeError, match="second block"):
+            lm.forward(seq, model.store, cfg, cache)
+    assert cache.length == length
+    for (k, v), (want_k, want_v) in zip(cache.layers, filled):
+        assert np.array_equal(k[:, :, :length], want_k)
+        assert np.array_equal(v[:, :length], want_v)
+    got, got_states = lm.forward(seq, model.store, cfg, cache)
+    want, want_states = lm.forward(seq, model.store, cfg, cached())
+    assert np.array_equal(got.data, want.data) and cache.length == len(seq)
+    assert [st.position for st in got_states] == [st.position for st in want_states]
+    for a, b in zip(got_states, want_states):
+        assert np.array_equal(a.hidden.data, b.hidden.data)
 
 
 def test_top_k_attribute_ordering_and_ties():

@@ -11,10 +11,12 @@ import pytest
 from seglang.images import bilinear_resize
 from seglang.model import Model
 from seglang.scenes import default_vocab
-from seglang.sequence import (EmptyMaskError, build_inference_prefix,
+from seglang.sefe import FeatureGrid
+from seglang.sequence import (EmptyMaskError, FeatureBlock, InterleavedSequence,
+                              SegSlot, TextToken, build_inference_prefix,
                               build_training_sequence, crop_region,
                               parse_training_sequence)
-from seglang.tensor import ShapeError
+from seglang.tensor import ShapeError, Tensor
 from seglang.suites import make_toy_config, make_toy_sample
 
 
@@ -100,6 +102,91 @@ def test_layout_flat_views():
     for lo, hi, _ in feat_spans:
         feat_mask[lo:hi] = True
     assert supervised[~feat_mask].all()
+
+
+def walk_layout(seq):
+    """The element walk that `len()` and `layout()` replaced, kept as their
+    oracle: (row count, token_ids, supervised, seg_positions, feat_spans)."""
+    n = len(seq.elements) + sum(e.grid.tokens - 1 for e in seq.elements
+                                if isinstance(e, FeatureBlock))
+    token_ids = np.full(n, seq.vocab.pad, dtype=np.int64)
+    supervised = np.zeros(n, dtype=bool)
+    seg_positions, feat_spans = [], []
+    pos = 0
+    for e in seq.elements:
+        if isinstance(e, FeatureBlock):
+            feat_spans.append((pos, pos + e.grid.tokens, e))
+            pos += e.grid.tokens
+        elif isinstance(e, SegSlot):
+            token_ids[pos] = seq.vocab.seg
+            supervised[pos] = e.supervised
+            seg_positions.append(pos)
+            pos += 1
+        else:
+            token_ids[pos] = e.token_id
+            supervised[pos] = e.supervised
+            pos += 1
+    return n, token_ids, supervised, seg_positions, feat_spans
+
+
+def test_running_views_match_the_element_walk():
+    # seeded mixes of method appends, direct `elements.append`, tail cuts and
+    # rebinding `elements`, with the views read after a random number of edits
+    vocab = default_vocab()
+    rng = np.random.default_rng(41)
+    grids = [FeatureGrid(Tensor(np.zeros((t, 4)))) for t in (1, 3, 5)]
+
+    def element():
+        kind, sup = int(rng.integers(3)), bool(rng.integers(2))
+        return (TextToken(int(rng.integers(6, len(vocab))), sup) if kind == 0
+                else SegSlot(int(rng.integers(1, 4)), sup) if kind == 1
+                else FeatureBlock(grids[int(rng.integers(3))], "local:1"))
+
+    edits = set()
+    for _ in range(30):
+        seq = InterleavedSequence(vocab)
+        for _ in range(40):
+            edit = int(rng.integers(8))
+            edits.add(edit)
+            if edit == 0:
+                seq.append_text(int(rng.integers(6, len(vocab))), bool(rng.integers(2)))
+            elif edit == 1:
+                seq.append_seg(int(rng.integers(1, 4)), bool(rng.integers(2)))
+            elif edit == 2:
+                seq.append_feat(grids[int(rng.integers(3))], "local:1")
+            elif edit == 3:
+                seq.elements.append(element())
+            elif edit == 4:
+                del seq.elements[int(rng.integers(len(seq.elements) + 1)):]
+            elif edit == 5:   # a copy of a prefix, plus new elements
+                seq.elements = seq.elements[:int(rng.integers(len(seq.elements) + 1))] \
+                    + [element() for _ in range(int(rng.integers(3)))]
+            elif edit == 6:   # a cut then as many new elements as were cut
+                k = int(rng.integers(len(seq.elements) + 1))
+                cut = len(seq.elements) - k
+                del seq.elements[k:]
+                seq.elements += [element() for _ in range(cut)]
+            else:             # a new list that differs only in its first element
+                seq.elements = [element()] + seq.elements[1:]
+            if rng.integers(3):
+                continue
+            n, token_ids, supervised, seg_positions, feat_spans = walk_layout(seq)
+            assert len(seq) == n
+            got = seq.layout()
+            assert got[0].dtype == np.int64 and got[1].dtype == bool
+            assert np.array_equal(got[0], token_ids) and np.array_equal(got[1], supervised)
+            assert got[2] == seg_positions
+            assert [(lo, hi) for lo, hi, _ in got[3]] == [(lo, hi) for lo, hi, _ in feat_spans]
+            assert all(a is b for (*_, a), (*_, b) in zip(got[3], feat_spans))
+            # the caller owns what it got: editing it leaves the next layout alone
+            got[0][:] = -1
+            got[1][:] = True
+            got[2].append(-1)
+            got[3].clear()
+            again = seq.layout()
+            assert np.array_equal(again[0], token_ids) and again[2] == seg_positions
+            assert len(again[3]) == len(feat_spans)
+    assert edits == set(range(8))
 
 
 def test_inference_prefix_is_unsupervised():

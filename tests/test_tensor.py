@@ -229,8 +229,10 @@ def causal(n_new, n_keys):
 
 
 def check_attend(q, k, v, n_heads, mask, seed, past=None):
-    """Bit-compare attend with old_attend; returns the oracle's scores."""
-    past_kv = (past["k"], past["v"]) if past else ()
+    """Bit-compare attend with old_attend, and the rows it writes into a
+    `past` (K buffer, V buffer, n) with the oracle's; returns its scores."""
+    past_kv = (past[0][:, :, :past[2]].copy(), past[1][:, :past[2]].copy()) \
+        if past else ()
     weights = []
 
     def op(*qkv):
@@ -245,6 +247,12 @@ def check_attend(q, k, v, n_heads, mask, seed, past=None):
     assert_bits_equal(weights[0], want_weights)
     for got, w in zip(grads, want_grads):
         assert_bits_equal(got, w)
+    if past:
+        end, dh = past[2] + len(k), k.shape[1] // n_heads
+        assert_bits_equal(past[0][:, :, :end], np.concatenate(
+            (past_kv[0], k.reshape(-1, n_heads, dh).transpose(1, 2, 0)), axis=2))
+        assert_bits_equal(past[1][:, :end], np.concatenate(
+            (past_kv[1], v.reshape(-1, n_heads, dh).transpose(1, 0, 2)), axis=1))
     return scores
 
 
@@ -259,14 +267,15 @@ def test_attend_is_bit_identical_to_out_of_place_formula(rows, masked):
 @pytest.mark.parametrize("new_rows", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("masked", [False, True])
 def test_attend_with_past_is_bit_identical_to_out_of_place_formula(new_rows, masked):
-    # a cached prefix of 9 rows, then 1 to 5 new rows that attend over all
+    # a cached prefix of 9 rows, then 1 to 5 new rows that attend over all,
+    # in buffers with room to spare
     rng = np.random.default_rng(new_rows)
-    past = {}
+    kbuf, vbuf = np.empty((4, 8, 16)), np.empty((4, 16, 8))
     T.attend(*(Tensor(rng.standard_normal((9, 32))) for _ in range(3)), 4,
-             causal(9, 9), past)
+             causal(9, 9), (kbuf, vbuf, 0))
     q, k, v = (rng.standard_normal((new_rows, 32)) for _ in range(3))
     check_attend(q, k, v, 4, causal(new_rows, 9 + new_rows) if masked else None,
-                 new_rows, past)
+                 new_rows, (kbuf, vbuf, 9))
 
 
 @pytest.mark.parametrize("masked", [False, True])
@@ -514,6 +523,19 @@ def test_attend_forward_peak_stays_under_two_score_arrays():
     mask = causal(rows, rows)
     peak = traced_peak(lambda: T.attend(q, k, v, heads, mask))
     assert peak <= 2 * heads * rows * rows * 8
+
+
+def test_attend_backward_peak_stays_under_one_and_a_half_score_arrays():
+    # gy - weights * rowsum(gy) runs in place a quarter of the rows at a time,
+    # so no second heads x T x T array is ever live next to gy
+    rng = np.random.default_rng(31)
+    rows, heads = 160, 4
+    q, k, v = (Tensor(rng.standard_normal((rows, 64)), requires_grad=True)
+               for _ in range(3))
+    out, _ = T.attend(q, k, v, heads, causal(rows, rows))
+    g = rng.standard_normal(out.shape)
+    peak = traced_peak(lambda: out._backward(g))
+    assert peak <= 1.5 * heads * rows * rows * 8
 
 
 def test_gelu_forward_peak_stays_under_three_and_a_half_inputs():

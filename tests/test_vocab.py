@@ -92,3 +92,25 @@ def test_load_refuses_sections_out_of_file_order(tmp_path):
     with pytest.raises(ValueError, match="out-of-order section 'words'") as err:
         Vocab.load(str(p))
     assert str(p) in str(err.value)
+
+
+def write_sections(path, sections):
+    path.write_text("".join(f"# {key}\n" + "".join(t + "\n" for t in tokens)
+                            for key, tokens in sections.items()))
+
+
+@pytest.mark.parametrize("edit,why", [
+    (lambda s: s.pop("words"), "missing section 'words'"),
+    (lambda s: s["specials"].__setitem__(0, "<blank>"), "specials must be exactly"),
+    (lambda s: s["words"].append(s["colors"][0]), "duplicate tokens")],
+    ids=["missing-section", "edited-specials", "repeated-token"])
+def test_load_names_the_file_for_every_content_fault(tmp_path, edit, why):
+    # the constructor's refusals reach the caller with the path, as the
+    # header errors do
+    sections = {k: list(v) for k, v in default_vocab().sections.items()}
+    edit(sections)
+    p = tmp_path / "vocab.txt"
+    write_sections(p, sections)
+    with pytest.raises(ValueError, match=why) as err:
+        Vocab.load(str(p))
+    assert str(err.value).startswith(f"vocab file {p}: ")
