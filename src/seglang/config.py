@@ -60,8 +60,9 @@ class RunConfig:
         if self.d_model % self.n_heads or self.d_sem % self.n_heads \
                 or self.d_pix % self.n_heads:
             raise ValueError("widths must be divisible by n_heads")
-        if self.batch < 1:
-            raise ValueError("batch must be at least 1")
+        if self.batch < 1 or self.max_steps < 1:
+            raise ValueError("batch and max_steps must be at least 1, got "
+                             f"{self.batch} and {self.max_steps}")
         if not 0.0 <= self.interleave_boost < 1.0:
             raise ValueError("interleave_boost must be in [0, 1)")
 

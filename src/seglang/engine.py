@@ -2,18 +2,19 @@
 
 Decoding proceeds one token at a time over the interleaved sequence: a
 prefill of the feature block alone plus one chunk for the instruction on
-its cache, then one cached LM call per step over the rows that step
-appended; each reads only its last row's logits. A frozen model keeps the
-last image's feature block and its cache, so questions in a row about one
-image encode it and prefill its block once, each on a fork of it. A seg token
-triggers mask decoding against the cached raw pixel features and becomes the
-current mask; a region-marker token crops the current mask's bounding box,
-encodes it through the semantic branch, and splices the features into the
-sequence; the end token stops the loop. Protocol violations (marker before
-any mask, marker over an empty mask) abort the episode and are recorded in
-the event trace; a token whose rows do not fit in `max_seq` ends it
-unemitted. With interleaving disabled the marker token is ordinary text and
-no crop can ever occur.
+its cache. The rows a step appends stay pending until the policy (through a
+reader of the last row's logits), `record_logits` or a seg slot reads them;
+a read is one cached LM call over every pending row that keeps the last. A
+frozen model keeps the last image's feature block and its cache, so
+questions in a row about one image encode it and prefill its block once,
+each on a fork of it. A seg token triggers mask decoding against the cached
+raw pixel features and becomes the current mask; a region-marker token
+crops the current mask's bounding box, encodes it through the semantic
+branch, and splices the features into the sequence; the end token stops the
+loop. Protocol violations (marker before any mask, marker over an empty
+mask) abort the episode and are recorded in the event trace; a token whose
+rows do not fit in `max_seq` ends it unemitted. With interleaving disabled
+the marker token is ordinary text and no crop can ever occur.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def generate(model: Model, image: np.ndarray, instruction: list[int],
     local encoding; it is the probe point for causal-coupling tests.
     """
     return _episode(model, image, instruction, ilvc_enabled, max_steps,
-                    policy=lambda row: int(np.argmax(row)),
+                    policy=lambda read: int(np.argmax(read())),
                     region_hook=region_hook, record_logits=record_logits)
 
 
@@ -69,11 +70,11 @@ def run_scripted(model: Model, image: np.ndarray, instruction: list[int],
 
     The model still runs (features, mask decodes, crops are all real); only
     the next-token choice is overridden. Exercises every protocol branch
-    deterministically.
+    deterministically; the forced rows up to each seg slot run in one pass.
     """
     it = iter([int(t) for t in script])
     return _episode(model, image, instruction, ilvc_enabled,
-                    max_steps=len(script), policy=lambda row: next(it))
+                    max_steps=len(script), policy=lambda read: next(it))
 
 
 def prefill(model: Model, image: np.ndarray, instruction: list[int],
@@ -125,13 +126,17 @@ def _episode(model: Model, image: np.ndarray, instruction: list[int],
     protocol_error = None
     end_reason = "max_steps"
 
-    for step in range(max_steps):
-        if logits is None:   # run the rows the previous step appended
+    def read():   # the last row's logits, after one pass over the pending rows
+        nonlocal logits
+        if logits is None:
             logits, _ = lm.forward(seq, store, cfg, cache, rows=[len(seq) - 1])
+        return logits.data[-1]
+
+    for step in range(max_steps):
         if record_logits:
-            logits_log.append(logits.data[-1].copy())
-        token = policy(logits.data[-1])
-        logits = None
+            logits_log.append(read().copy())
+        token = policy(read)
+        logits = None   # the rows this step appends stay pending until read
 
         if token == vocab.eos:
             output.append(token)
@@ -161,7 +166,7 @@ def _episode(model: Model, image: np.ndarray, instruction: list[int],
         if token == vocab.seg:
             seg_count += 1
             seq.append_seg(seg_count, supervised=False)
-            # one row: its hidden feeds the mask, its logits the next token
+            # every pending row: the slot's hidden feeds the mask, logits the next token
             logits, seg_states = lm.forward(seq, store, cfg, cache, rows=[len(seq) - 1])
             mask_map = maskdec.decode_mask(seg_states[-1].hidden, f_p_raw,
                                            image.shape[:2], store)

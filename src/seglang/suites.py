@@ -59,6 +59,9 @@ def grad_check_suite(n_configs: int = 20, sample_per_param: int = 2,
     """Finite-difference verification of the full loss path, one report per
     toy configuration. sample_per_param limits coordinates per tensor (every
     tensor is still touched); None checks every scalar."""
+    if n_configs < 1 or sample_per_param is not None and sample_per_param < 1:
+        raise ValueError(f"n_configs and sample_per_param must be at least 1, "
+                         f"got {n_configs} and {sample_per_param}")
     vocab = default_vocab()
     reports = []
     for i in range(n_configs):
@@ -84,6 +87,8 @@ def conformance_suite(n_streams: int = 50, seed: int = 0) -> dict:
     """Engine traces vs the reference interpreter over random scripted
     streams, covering both mask-emptiness regimes, both interleaving modes,
     the null-mask and empty-mask error paths, truncation and a full context."""
+    if n_streams < 1:
+        raise ValueError(f"n_streams must be at least 1, got {n_streams}")
     vocab = default_vocab()
     cfg = make_toy_config(seed)
     rng = np.random.default_rng(seed)

@@ -302,7 +302,7 @@ def _scripted_logits(model, image, instruction, ilvc_enabled, hook):
     it = iter(script)
     result = engine._episode(model, image, instruction, ilvc_enabled,
                              max_steps=len(script),
-                             policy=lambda row: next(it),
+                             policy=lambda read: next(it),
                              region_hook=hook, record_logits=True)
     return result.logits_log
 

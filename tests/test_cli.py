@@ -124,6 +124,21 @@ def test_config_file_unknown_key_rejected(tmp_path):
         main(["train", "--config", str(cfg_path)])
 
 
+@pytest.mark.parametrize("flags, name", [
+    (["--task", "gradcheck", "--n-configs", "0"], "n_configs"),
+    (["--task", "gradcheck", "--sample-per-param", "0"], "sample_per_param"),
+    (["--task", "conformance", "--n-streams", "-3"], "n_streams"),
+    (["--task", "refseg", "--max-steps", "0"], "max_steps"),
+])
+def test_eval_refuses_counts_below_one(tmp_path, flags, name):
+    # a zero count would report a vacuous pass (or crash in max()), so it is
+    # refused by name before any suite runs or report is written
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=name):
+        main(["eval", *flags, "--out-dir", str(out)])
+    assert not out.exists()
+
+
 def test_loss_weight_flag_is_gone():
     with pytest.raises(SystemExit) as exc:
         main(["train", "--alpha", "1"])

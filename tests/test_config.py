@@ -36,6 +36,7 @@ def test_vocab_path_overrides_data_dir():
     dict(patch=0),               # would divide by zero
     dict(n_heads=0),
     dict(max_seq=-1),
+    dict(max_steps=0),           # an episode must run at least one step
 ])
 def test_invalid_shapes_rejected(bad):
     with pytest.raises(ValueError):

@@ -163,7 +163,7 @@ def test_region_hook_feeds_the_next_step(rig):
 def run_scripted_with_logits(model, image, instruction, script, ilvc, hook):
     it = iter([int(t) for t in script])
     return _episode(model, image, instruction, ilvc, max_steps=len(script),
-                    policy=lambda row: next(it), region_hook=hook,
+                    policy=lambda read: next(it), region_hook=hook,
                     record_logits=True)
 
 
@@ -246,7 +246,7 @@ def full_recompute_episode(model, image, instruction, ilvc, max_steps, policy):
     for step in range(max_steps):
         logits, _ = lm.forward(seq, store, cfg)
         logits_log.append(logits.data[-1].copy())
-        token = policy(logits.data[-1])
+        token = policy(lambda: logits.data[-1])
         if token == vocab.eos:
             output.append(token)
             trace.append({"step": step, "event": "EOS", "token": token})
@@ -302,8 +302,8 @@ def test_cached_decoding_matches_full_recompute(cfg):
     instruction = prompt_template("gcg", True, vocab)
     max_steps = 30
 
-    def greedy(row):
-        return int(np.argmax(row))
+    def greedy(read):
+        return int(np.argmax(read()))
 
     result = generate(model, image, instruction, True, max_steps=max_steps,
                       record_logits=True)
@@ -316,7 +316,7 @@ def test_cached_decoding_matches_full_recompute(cfg):
 
     def steered():
         opening = iter([vocab.seg, vocab.image_id, vocab.seg, vocab.image_id])
-        return lambda row: next(opening, greedy(row))
+        return lambda read: next(opening, greedy(read))
 
     result = _episode(model, image, instruction, True, max_steps, steered(),
                       record_logits=True)
@@ -328,8 +328,10 @@ def test_cached_decoding_matches_full_recompute(cfg):
 
 def test_a_scripted_episode_fills_the_default_context():
     # seg, crop and text steps until the next region no longer fits in the
-    # default max_seq: the cache grows row by row to the end, and every step's
-    # logits equal an uncached pass over the whole sequence
+    # default max_seq: read at every step, the cache grows row by row to the
+    # end and every step's logits equal an uncached pass over the whole
+    # sequence; unread, as run_scripted leaves them, the rows between two seg
+    # slots run in one pass and give the same trace and masks
     cfg = RunConfig(seed=11)
     vocab = default_vocab()
     model = Model(cfg, vocab, np.random.default_rng(cfg.seed))
@@ -341,7 +343,7 @@ def test_a_scripted_episode_fills_the_default_context():
 
     def scripted():
         it = iter(script)
-        return lambda row: next(it)
+        return lambda read: next(it)
 
     result = _episode(model, image, instruction, True, len(script), scripted(),
                       record_logits=True)
@@ -363,6 +365,44 @@ def test_a_scripted_episode_fills_the_default_context():
     assert len(result.logits_log) == len(logits_log) == consumed + 1
     for got, want in zip(result.logits_log, logits_log):
         assert np.max(np.abs(got - want)) <= 1e-12
+    unread = run_scripted(model, image, instruction, script, True)
+    assert unread.end_reason == "context_full" and unread.logits_log is None
+    assert unread.output_tokens == output[:-1] and unread.trace == trace[:-1]
+    assert len(unread.masks) == len(masks)
+    assert all(np.max(np.abs(a - b)) <= 1e-12 for a, b in zip(unread.masks, masks))
+
+
+@pytest.mark.parametrize("n_regions", [0, 1, 3])
+def test_a_scripted_episode_runs_one_pass_per_seg_slot(rig, monkeypatch, n_regions):
+    # the model requires grad, so every prefill misses the memo: one pass for
+    # the feature block, one for the instruction, then one per seg slot,
+    # which also runs the forced text, marker and crop rows before it
+    model, vocab, image = rig
+    set_nonempty(model, True)
+    words = vocab.encode("segment the red square")
+    script = [words[1], words[2]] \
+        + [vocab.seg, vocab.image_id, words[2], words[3]] * n_regions + [vocab.eos]
+    calls = []
+    forward = lm.forward
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(lm, "forward", counted)
+    result = run_scripted(model, image, words[:1], script, True)
+    assert result.end_reason == "eos" and len(result.masks) == n_regions
+    assert len(calls) == 2 + n_regions
+
+    # read at every step, the same script runs one pass for each step but
+    # the first (a seg slot's pass serves the next step's read)
+    calls.clear()
+    it = iter(script)
+    logged = _episode(model, image, words[:1], True, len(script),
+                      policy=lambda read: next(it), record_logits=True)
+    assert logged.trace == result.trace
+    assert len(calls) == 2 + len(script) - 1
+    assert len(logged.logits_log) == len(script)
 
 
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS,

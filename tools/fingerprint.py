@@ -13,7 +13,11 @@ in a temporary directory that is removed afterwards:
 - a 64-step stage-2 run from it with train seed 7 (checkpoint and JSONL);
 - on that checkpoint, with the eval data: `eval --task refseg --max-steps 40`
   with ILVC on and off (report and per-sample CSV), `eval --task attr`,
-  `attr-build` and `eval --task gradcheck --n-configs 3`.
+  `attr-build` and `eval --task gradcheck --n-configs 3`;
+- `eval --task conformance`: 50 scripted streams through
+  `engine.run_scripted`, checked against the reference interpreter; the
+  report holds the agreement count, the event kinds and end reasons covered,
+  and the projected traces of any stream that disagrees.
 
 The CLI's own console output goes to stderr; stdout carries only the JSON.
 """
@@ -84,6 +88,9 @@ def fingerprint(work: str) -> dict[str, str]:
     gdir = os.path.join(work, "gradcheck")
     _run("eval", "--task", "gradcheck", "--n-configs", "3", "--out-dir", gdir)
     digests["gradcheck_report"] = _file(os.path.join(gdir, "report_gradcheck.json"))
+    cdir = os.path.join(work, "conformance")
+    _run("eval", "--task", "conformance", "--out-dir", cdir)
+    digests["conformance_report"] = _file(os.path.join(cdir, "report_conformance.json"))
     return digests
 
 
