@@ -11,13 +11,12 @@ the seg-token logits restricted to that class's lexicon.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import read_json
+from .config import read_json, write_json
 from .lm import SegState, top_k_attribute
 from .vocab import Vocab
 
@@ -88,6 +87,19 @@ def make_question(referring: str, attr_class: str, value: str) -> str:
     return f"is {referring}{link} {value} ?"
 
 
+def referring_description(descriptions: list[str], value: str) -> str | None:
+    """The first description whose word set lacks `value`, or None."""
+    return next((d for d in descriptions if value not in d.split()), None)
+
+
+def wrong_values(vocab: Vocab, attr_class: str, value: str) -> list[str]:
+    """The other words of `attr_class`'s lexicon; ValueError unless `value` is one."""
+    words = [vocab.tokens[i] for i in vocab.lexicon(attr_class)]
+    if value not in words:
+        raise ValueError(f"value {value!r} outside the {attr_class} lexicon")
+    return [w for w in words if w != value]
+
+
 def build_probes(records: list[AttrRecord], vocab: Vocab,
                  seed: int) -> list[AttrProbe]:
     """One probe per (record, attribute class omitted from some description).
@@ -104,17 +116,13 @@ def build_probes(records: list[AttrRecord], vocab: Vocab,
             true_value = rec.attributes.get(attr_class)
             if true_value is None:
                 continue
-            lexicon_words = [vocab.tokens[i] for i in vocab.lexicon(attr_class)]
-            if true_value not in lexicon_words:
-                raise ValueError(
-                    f"{rec.object_id}: value {true_value!r} outside the "
-                    f"{attr_class} lexicon")
-            referring = next(
-                (d for d in rec.descriptions if true_value not in d.split()),
-                None)
+            try:
+                candidates = wrong_values(vocab, attr_class, true_value)
+            except ValueError as exc:
+                raise ValueError(f"{rec.object_id}: {exc}") from None
+            referring = referring_description(rec.descriptions, true_value)
             if referring is None:
                 continue
-            candidates = [w for w in lexicon_words if w != true_value]
             if not candidates:
                 warnings.warn(
                     f"{attr_class} lexicon has a single value; skipping probe "
@@ -180,9 +188,7 @@ def probe_key(p: AttrProbe) -> str:
 
 
 def save_probes(probes: list[AttrProbe], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump([p.to_dict() for p in probes], f, indent=2)
-        f.write("\n")
+    write_json(path, [p.to_dict() for p in probes])
 
 
 def load_probes(path: str) -> list[AttrProbe]:

@@ -1,8 +1,9 @@
 """Command-line surface.
 
-Subcommands: gen-data, train, eval, generate, attr-build, attr-score. A JSON
-config file seeds every run; long-form flags override individual fields. Exit
-code 0 means the report/outputs were written and no protocol error occurred.
+Subcommands: gen-data, train, eval, generate; AttrEval is attr-build, then
+attr-score on its file. A JSON config file seeds every run; long-form flags
+override individual fields. Exit code 0 means the report/outputs were written
+and no protocol error occurred.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 
 from . import engine, suites, training
 from .attreval import load_probes, save_probes, build_probes
-from .config import RunConfig
+from .config import RunConfig, write_json
 from .images import read_ppm, to_unit_float, write_pgm, write_pgm_prob
 from .maskdec import binarize
 from .scenes import load_attr_records, make_split
@@ -51,9 +52,7 @@ def _config_from(args) -> RunConfig:
 def _write_report(cfg: RunConfig, name: str, payload: dict) -> str:
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, name)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, payload, sort_keys=True)
     print(f"wrote {path}")
     return path
 
@@ -87,13 +86,6 @@ def cmd_eval(args) -> int:
               f"desc acc {report['desc_token_acc']:.4f}")
         bad = [r for r in rows if r["protocol_error"]]
         return 1 if bad else 0
-    if args.task == "attr":
-        model = training.load_model(cfg)
-        report = training.eval_attr(model, cfg.data_dir, cfg.seed)
-        _write_report(cfg, "report_attr.json", report)
-        print(f"vqa {report['vqa_acc']:.4f}  acc1 {report['acc1']:.4f}  "
-              f"acc3 {report['acc3']:.4f}")
-        return 0
     if args.task == "gradcheck":
         reports = suites.grad_check_suite(args.n_configs, args.sample_per_param,
                                           cfg.seed)
@@ -104,13 +96,10 @@ def cmd_eval(args) -> int:
         _write_report(cfg, "report_gradcheck.json", payload)
         print(f"max rel err {worst:.2e} over {len(reports)} configs")
         return 0 if worst < 1e-4 else 1
-    if args.task == "conformance":
-        report = suites.conformance_suite(args.n_streams, cfg.seed)
-        _write_report(cfg, "report_conformance.json", report)
-        print(f"{report['agreements']}/{report['n_streams']} traces agree")
-        return 0 if not report["failures"] else 1
-    print(f"unknown eval task {args.task}", file=sys.stderr)
-    return 2
+    report = suites.conformance_suite(args.n_streams, cfg.seed)   # --task conformance
+    _write_report(cfg, "report_conformance.json", report)
+    print(f"{report['agreements']}/{report['n_streams']} traces agree")
+    return 0 if not report["failures"] else 1
 
 
 def cmd_generate(args) -> int:
@@ -138,9 +127,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_attr_build(args) -> int:
-    records = load_attr_records(os.path.join(args.data_dir, args.split))
+    split_dir = os.path.join(args.data_dir, args.split)
     vocab = Vocab.load(args.vocab or os.path.join(args.data_dir, "vocab.txt"))
-    probes = build_probes(records, vocab, args.seed)
+    probes = build_probes(load_attr_records(split_dir), vocab, args.seed)
+    if not probes:
+        raise ValueError(f"{split_dir}: its attribute records yield no probe")
     save_probes(probes, args.out)
     print(f"{len(probes)} probes -> {args.out}")
     return 0
@@ -178,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a checkpoint or run a suite")
     p.add_argument("--task", required=True,
-                   choices=("refseg", "attr", "gradcheck", "conformance"))
+                   choices=("refseg", "gradcheck", "conformance"))
     p.add_argument("--n-configs", type=int, default=20)
     p.add_argument("--n-streams", type=int, default=50)
     p.add_argument("--sample-per-param", type=int, default=2)

@@ -94,9 +94,7 @@ class RunConfig:
         return cls(**fields)
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(dataclasses.asdict(self), f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(path, dataclasses.asdict(self), sort_keys=True)
 
 
 def read_json(path: str, kind: type):
@@ -111,3 +109,10 @@ def read_json(path: str, kind: type):
         want = "object" if kind is dict else "list"
         raise ValueError(f"{path}: must be a JSON {want}, got {type(loaded).__name__}")
     return loaded
+
+
+def write_json(path: str, obj, sort_keys: bool = False) -> None:
+    """`obj` at `path` as JSON indented by two, ending in a newline."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, indent=2, sort_keys=sort_keys)
+        f.write("\n")

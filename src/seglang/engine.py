@@ -34,9 +34,12 @@ class GenerationResult:
     output_tokens: list[int]
     trace: list[dict]
     protocol_error: str | None = None
-    truncated: bool = False
     logits_log: list[np.ndarray] | None = None
     end_reason: str = "max_steps"  # or eos, context_full, protocol_error
+
+    @property
+    def truncated(self) -> bool:   # the episode stopped before an end token
+        return self.end_reason != "eos"
 
     def token_text(self, vocab) -> str:
         return vocab.decode(self.output_tokens)
@@ -185,7 +188,6 @@ def _episode(model: Model, image: np.ndarray, instruction: list[int],
 
     return GenerationResult(masks=masks, output_tokens=output, trace=trace,
                             protocol_error=protocol_error,
-                            truncated=end_reason != "eos",
                             logits_log=logits_log, end_reason=end_reason)
 
 

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attreval import AttrRecord, load_records, make_question
+from .attreval import (ATTR_CLASSES, AttrRecord, load_records, make_question,
+                       referring_description, wrong_values)
+from .config import write_json
 from .images import read_pgm, read_ppm, to_unit_float, write_pgm, write_ppm
 from .vocab import SPECIALS, Vocab
 
@@ -189,8 +191,8 @@ class Sample:
 
 
 def _scene_samples(scene_name: str, scene: Scene, rng, rel_image: str,
-                   rel_masks: list[str]) -> list[dict]:
-    """Sample records (JSON-ready) for one scene."""
+                   rel_masks: list[str], vocab: Vocab) -> list[dict]:
+    """Sample records (JSON-ready) for one scene; questions follow `attreval`."""
     samples = []
 
     def rec(kind, task, ilvc, instruction, regions, response=""):
@@ -213,17 +215,12 @@ def _scene_samples(scene_name: str, scene: Scene, rng, rel_image: str,
     for k, obj in enumerate(scene.objects):
         attrs = obj.attributes
         for q in range(2):
-            attr_class = ("category", "color", "location")[
-                int(rng.integers(3))]
-            variants = obj.variants()
-            referring = next(d for d in variants
-                             if attrs[attr_class] not in d.split())
+            attr_class = ATTR_CLASSES[int(rng.integers(len(ATTR_CLASSES)))]
+            referring = referring_description(obj.variants(), attrs[attr_class])
             if rng.integers(2) == 0:
                 value, answer = attrs[attr_class], "yes"
             else:
-                lex = {"category": SHAPE_WORDS, "color": COLOR_WORDS,
-                       "location": LOCATION_WORDS}[attr_class]
-                wrong = [w for w in lex if w != attrs[attr_class]]
+                wrong = wrong_values(vocab, attr_class, attrs[attr_class])
                 value, answer = wrong[int(rng.integers(len(wrong)))], "no"
             rec(f"qa{k}_{q}", "vqa", False,
                 "answer direct " + make_question(referring, attr_class, value),
@@ -268,21 +265,16 @@ def make_split(seed: int, n_train: int, n_eval: int, out_dir: str,
                 records.append(attr_record(scene_name, k, obj, rel_image,
                                            rel_mask).to_dict())
             samples.extend(_scene_samples(scene_name, scene, rng, rel_image,
-                                          rel_masks))
+                                          rel_masks, vocab))
         with open(os.path.join(sdir, "samples.jsonl"), "w",
                   encoding="utf-8") as f:
             for s in samples:
                 f.write(json.dumps(s) + "\n")
-        with open(os.path.join(sdir, "attr_records.json"), "w",
-                  encoding="utf-8") as f:
-            json.dump(records, f, indent=2)
-            f.write("\n")
+        write_json(os.path.join(sdir, "attr_records.json"), records)
         counts[split] = {"scenes": n_scenes, "samples": len(samples),
                          "objects": len(records)}
     meta = {"seed": seed, "canvas": canvas, "patch": patch, **counts}
-    with open(os.path.join(out_dir, "meta.json"), "w", encoding="utf-8") as f:
-        json.dump(meta, f, indent=2)
-        f.write("\n")
+    write_json(os.path.join(out_dir, "meta.json"), meta)
     return meta
 
 

@@ -3,8 +3,8 @@
 Training draws single samples, accumulates gradients into small averaged
 batches, and applies Adam under the two-stage trainable schedule, fully
 determined by config + seed. Evaluation covers referring segmentation
-(generation + IoU metrics + description token accuracy) and attribute
-probing. The verification suites live in `suites`.
+(generation + IoU metrics + description token accuracy) and the scoring of
+built AttrEval probes. The verification suites live in `suites`.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ import time
 import numpy as np
 
 from . import engine, lm, maskdec, metrics
-from .attreval import build_probes, probe_key, score_logits, score_vqa
+from .attreval import probe_key, score_logits, score_vqa
 from .config import RunConfig
 from .images import read_ppm, to_unit_float
 from .model import Model
-from .scenes import Sample, load_attr_records, load_split
+from .scenes import Sample, load_split
 from .tensor import mul
 from .vocab import Vocab
 
@@ -197,12 +197,3 @@ def score_probes(model: Model, probes: list, split_dir: str) -> dict:
     vqa = score_vqa(probes, answers)
     acc1, acc3 = score_logits(probes, seg_states, model.vocab)
     return {"vqa_acc": vqa, "acc1": acc1, "acc3": acc3, "n": len(probes)}
-
-
-def eval_attr(model: Model, data_dir: str, seed: int) -> dict:
-    """Build probes from the eval records and score VQA + logit ranking."""
-    eval_dir = os.path.join(data_dir, "eval")
-    probes = build_probes(load_attr_records(eval_dir), model.vocab, seed)
-    if not probes:
-        raise RuntimeError("no probes could be built from the eval records")
-    return score_probes(model, probes, eval_dir)

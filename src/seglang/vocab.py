@@ -35,19 +35,16 @@ class Vocab:
         self.image_id = self.id_of["<image_id>"]
         self.p_open = self.id_of["<p>"]
         self.p_close = self.id_of["</p>"]
-        self.colors = [self.id_of[t] for t in self.sections["colors"]]
-        self.locations = [self.id_of[t] for t in self.sections["locations"]]
-        self.categories = [self.id_of[t] for t in self.sections["categories"]]
 
     def __len__(self) -> int:
         return len(self.tokens)
 
     def lexicon(self, attr_class: str) -> list[int]:
-        ids = {"color": self.colors, "location": self.locations,
-               "category": self.categories}.get(attr_class)
-        if ids is None:
+        section = {"color": "colors", "location": "locations",
+                   "category": "categories"}.get(attr_class)
+        if section is None:
             raise ValueError(f"unknown attribute class {attr_class!r}")
-        return list(ids)
+        return [self.id_of[t] for t in self.sections[section]]
 
     def encode(self, text: str) -> list[int]:
         ids = []

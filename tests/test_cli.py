@@ -106,6 +106,25 @@ def test_attr_build_and_score(flow, capsys):
     assert "vqa" in capsys.readouterr().out
 
 
+def test_attr_build_refuses_a_split_without_probes(tmp_path):
+    # an empty probe file would only fail later, in attr-score, after the
+    # model loads and without naming the split
+    data = str(tmp_path / "data")
+    assert main(["gen-data", "--out", data, "--seed", "5",
+                 "--n-train", "1", "--n-eval", "0"]) == 0
+    probes = tmp_path / "probes.json"
+    with pytest.raises(ValueError, match=r"eval: its attribute records yield no probe"):
+        main(["attr-build", "--data-dir", data, "--out", str(probes)])
+    assert not probes.exists()
+
+
+def test_eval_attr_task_is_gone():
+    # AttrEval runs only as attr-build then attr-score
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--task", "attr"])
+    assert exc.value.code == 2
+
+
 def test_config_file_with_flag_override(flow, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"data_dir": flow["data"], "steps": 1,

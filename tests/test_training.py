@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from seglang import sefe
+from seglang.attreval import build_probes
 from seglang.config import RunConfig
 from seglang.engine import generate, prompt_template
 from seglang.model import Model, STAGE_PREFIXES
-from seglang.scenes import default_vocab
+from seglang.scenes import default_vocab, load_attr_records
 from seglang.suites import grad_check_suite, make_toy_config, make_toy_sample
 from seglang.training import (answer_question, description_positions,
-                              eval_attr, eval_refseg, load_model,
+                              eval_refseg, load_model, score_probes,
                               seg_state_for, train, write_refseg_csv)
 from seglang.vocab import Vocab
 
@@ -184,10 +185,12 @@ def test_write_refseg_csv(tmp_path):
     assert lines[1].startswith("s0,0.5,1") and lines[1].endswith(",eos")
 
 
-def test_eval_attr_smoke(tiny_split):
+def test_score_probes_smoke(tiny_split):
     cfg = RunConfig(data_dir=tiny_split)
     model = Model(cfg, Vocab.load(cfg.vocab_file))
-    rep = eval_attr(model, tiny_split, seed=0)
+    eval_dir = os.path.join(tiny_split, "eval")
+    probes = build_probes(load_attr_records(eval_dir), model.vocab, seed=0)
+    rep = score_probes(model, probes, eval_dir)
     assert rep["n"] >= 1
     for key in ("vqa_acc", "acc1", "acc3"):
         assert 0.0 <= rep[key] <= 1.0

@@ -12,12 +12,16 @@ in a temporary directory that is removed afterwards:
   parameters of `RunConfig(seed=11)` with an empty Adam state);
 - a 64-step stage-2 run from it with train seed 7 (checkpoint and JSONL);
 - on that checkpoint, with the eval data: `eval --task refseg --max-steps 40`
-  with ILVC on and off (report and per-sample CSV), `eval --task attr`,
-  `attr-build` and `eval --task gradcheck --n-configs 3`;
+  with ILVC on and off (report and per-sample CSV), `attr-build` and
+  `attr-score` on the probe file it wrote, and
+  `eval --task gradcheck --n-configs 3`;
 - `eval --task conformance`: 50 scripted streams through
   `engine.run_scripted`, checked against the reference interpreter; the
   report holds the agreement count, the event kinds and end reasons covered,
-  and the projected traces of any stream that disagrees.
+  and the projected traces of any stream that disagrees. Since an agreeing
+  stream leaves no mark in the report, `conformance_streams` digests every
+  stream's result as well: its trace, output tokens, end reason, protocol
+  error and the bytes of each mask.
 
 The CLI's own console output goes to stderr; stdout carries only the JSON.
 """
@@ -31,7 +35,9 @@ import os
 import sys
 import tempfile
 
-from seglang import cli
+import numpy as np
+
+from seglang import cli, engine
 
 
 def _file(path: str) -> str:
@@ -49,6 +55,29 @@ def _tree(root: str) -> str:
             h.update(os.path.relpath(path, root).encode("utf-8") + b"\0")
             h.update(_file(path).encode("ascii") + b"\n")
     return h.hexdigest()
+
+
+def _result_bytes(result) -> bytes:
+    head = json.dumps([result.trace, result.output_tokens, result.end_reason,
+                       result.protocol_error]).encode("utf-8")
+    return head + b"".join(np.ascontiguousarray(m).tobytes() for m in result.masks)
+
+
+@contextlib.contextmanager
+def _digesting_scripted_runs(h):
+    """Feed each `engine.run_scripted` result into `h` while in the block."""
+    run_scripted = engine.run_scripted
+
+    def wrapped(*args, **kwargs):
+        result = run_scripted(*args, **kwargs)
+        h.update(hashlib.sha256(_result_bytes(result)).digest())
+        return result
+
+    engine.run_scripted = wrapped
+    try:
+        yield
+    finally:
+        engine.run_scripted = run_scripted
 
 
 def _run(*argv: str) -> None:
@@ -79,18 +108,20 @@ def fingerprint(work: str) -> dict[str, str]:
              *on_data, "--out-dir", rdir)
         digests[f"refseg_{ilvc}_report"] = _file(os.path.join(rdir, "report_refseg.json"))
         digests[f"refseg_{ilvc}_csv"] = _file(os.path.join(rdir, "refseg_samples.csv"))
-    adir = os.path.join(work, "attr")
-    _run("eval", "--task", "attr", *on_data, "--out-dir", adir)
-    digests["attr_report"] = _file(os.path.join(adir, "report_attr.json"))
-    probes = os.path.join(work, "probes.json")
+    probes, adir = os.path.join(work, "probes.json"), os.path.join(work, "attr")
     _run("attr-build", "--data-dir", data, "--out", probes)
+    _run("attr-score", "--probes", probes, *on_data, "--out-dir", adir)
+    digests["attr_report"] = _file(os.path.join(adir, "report_attr.json"))
     digests["attr_probes"] = _file(probes)
     gdir = os.path.join(work, "gradcheck")
     _run("eval", "--task", "gradcheck", "--n-configs", "3", "--out-dir", gdir)
     digests["gradcheck_report"] = _file(os.path.join(gdir, "report_gradcheck.json"))
     cdir = os.path.join(work, "conformance")
-    _run("eval", "--task", "conformance", "--out-dir", cdir)
+    streams = hashlib.sha256()
+    with _digesting_scripted_runs(streams):
+        _run("eval", "--task", "conformance", "--out-dir", cdir)
     digests["conformance_report"] = _file(os.path.join(cdir, "report_conformance.json"))
+    digests["conformance_streams"] = streams.hexdigest()
     return digests
 
 
