@@ -192,7 +192,9 @@ def save_probes(probes: list[AttrProbe], path: str) -> None:
 
 
 def load_probes(path: str) -> list[AttrProbe]:
-    return load_records(path, AttrProbe)
+    if not (probes := load_records(path, AttrProbe)):
+        raise ValueError(f"{path}: holds no probe")
+    return probes
 
 
 def load_records(path: str, cls) -> list:

@@ -139,8 +139,8 @@ def cmd_attr_build(args) -> int:
 
 def cmd_attr_score(args) -> int:
     cfg = _config_from(args)
-    model = training.load_model(cfg)
-    payload = training.score_probes(model, load_probes(args.probes),
+    probes = load_probes(args.probes)   # a flawed file fails before the model loads
+    payload = training.score_probes(training.load_model(cfg), probes,
                                     os.path.join(cfg.data_dir, args.split))
     _write_report(cfg, "report_attr.json", payload)
     print(f"vqa {payload['vqa_acc']:.4f}  acc1 {payload['acc1']:.4f}  "

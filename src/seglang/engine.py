@@ -1,20 +1,20 @@
 """Token-driven generation loop with mask and crop events.
 
-Decoding proceeds one token at a time over the interleaved sequence: a
-prefill of the feature block alone plus one chunk for the instruction on
-its cache. The rows a step appends stay pending until the policy (through a
-reader of the last row's logits), `record_logits` or a seg slot reads them;
-a read is one cached LM call over every pending row that keeps the last. A
-frozen model keeps the last image's feature block and its cache, so
-questions in a row about one image encode it and prefill its block once,
-each on a fork of it. A seg token triggers mask decoding against the cached
-raw pixel features and becomes the current mask; a region-marker token
-crops the current mask's bounding box, encodes it through the semantic
-branch, and splices the features into the sequence; the end token stops the
-loop. Protocol violations (marker before any mask, marker over an empty
-mask) abort the episode and are recorded in the event trace; a token whose
-rows do not fit in `max_seq` ends it unemitted. With interleaving disabled
-the marker token is ordinary text and no crop can ever occur.
+Decoding proceeds one token at a time over the interleaved sequence: the
+prefill runs the feature block alone into a cache, and every later row, the
+instruction's first, stays pending until the policy (through a reader of the
+last row's logits), `record_logits` or a seg slot reads it; a read is one
+cached LM call over every pending row that keeps the last. A frozen model
+keeps the last image's feature block and its cache, so questions in a row
+about one image encode it and prefill its block once, each on a fork of it.
+A seg token triggers mask decoding against the cached raw pixel features and
+becomes the current mask; a region-marker token crops the current mask's
+bounding box, encodes it through the semantic branch, and splices the
+features into the sequence; the end token stops the loop. Protocol
+violations (marker before any mask, marker over an empty mask) abort the
+episode and are recorded in the event trace; a token whose rows do not fit
+in `max_seq` ends it unemitted. With interleaving disabled the marker token
+is ordinary text and no crop can ever occur.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numpy as np
 
 from . import lm, maskdec, sefe, sequence
 from .model import Model
+from .tensor import ShapeError
 
 
 @dataclass
@@ -80,13 +81,12 @@ def run_scripted(model: Model, image: np.ndarray, instruction: list[int],
                     max_steps=len(script), policy=lambda read: next(it))
 
 
-def prefill(model: Model, image: np.ndarray, instruction: list[int],
-            seg_slot: bool = False):
-    """Two-chunk prefill -> (seq, f_p_raw, cache, last-row logits, seg states):
-    the feature block alone fills a DecodeCache, then the instruction (and a
-    forced seg slot) runs on it, or on a fork of it when a store with no
-    parameter that requires grad keeps the last image's block and its cache;
-    a hit runs the same chunks, so no output depends on the memo."""
+def prefill(model: Model, image: np.ndarray, instruction: list[int]):
+    """Feature-block prefill -> (seq, f_p_raw, cache, logits): the block alone
+    fills a DecodeCache, or a fork of the one a store with no parameter that
+    requires grad keeps for the last image's block; the instruction rows wait
+    unrun, so `logits` (the block's last row) is None unless the instruction
+    is empty. A memo hit gives the same rows as a miss."""
     cfg, store = model.cfg, model.store
     img = sefe.check_image(image, cfg.patch)
     memo = store.frozen_memo(("",))   # "" prefixes every parameter's name
@@ -103,12 +103,9 @@ def prefill(model: Model, image: np.ndarray, instruction: list[int],
     _, f_g, f_p_raw, cache, logits = entry
     cache = cache if memo is None else cache.fork()   # the memo's rows stay as they are
     seq = sequence.build_inference_prefix(f_g, instruction, model.vocab)
-    if seg_slot:
-        seq.append_seg(1, supervised=False)
-    seg_states = []
-    if len(seq) > cache.length:   # an empty instruction reads the block's last row
-        logits, seg_states = lm.forward(seq, store, cfg, cache, rows=[len(seq) - 1])
-    return seq, f_p_raw, cache, logits, seg_states
+    if len(seq) > cfg.max_seq:   # the waiting rows could never run
+        raise ShapeError(f"sequence length {len(seq)} exceeds max_seq {cfg.max_seq}")
+    return seq, f_p_raw, cache, logits if len(seq) == cache.length else None
 
 
 def _episode(model: Model, image: np.ndarray, instruction: list[int],
@@ -118,7 +115,7 @@ def _episode(model: Model, image: np.ndarray, instruction: list[int],
         raise ValueError("max_steps must be at least 1")
     cfg, vocab, store = model.cfg, model.vocab, model.store
     # one front-end pass per episode; every mask decode reuses f_p_raw
-    seq, f_p_raw, cache, logits, _ = prefill(model, image, instruction)
+    seq, f_p_raw, cache, logits = prefill(model, image, instruction)
 
     masks: list[np.ndarray] = []
     output: list[int] = []

@@ -100,15 +100,12 @@ def read_pgm_raw(path: str) -> np.ndarray:
 
 
 def bilinear_resize(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Resize an HxWxC (or HxW) float array by bilinear interpolation.
+    """Resize an HxWxC float array by bilinear interpolation.
 
     Half-pixel-center sampling with edge clamping; a 1x1 source expands to a
     constant field.
     """
     src = np.asarray(src, dtype=np.float64)
-    squeeze = src.ndim == 2
-    if squeeze:
-        src = src[:, :, None]
     h, w = src.shape[:2]
     y = np.clip((np.arange(out_h) + 0.5) * h / out_h - 0.5, 0.0, h - 1.0)
     x = np.clip((np.arange(out_w) + 0.5) * w / out_w - 0.5, 0.0, w - 1.0)
@@ -120,5 +117,4 @@ def bilinear_resize(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     wx = (x - x0)[None, :, None]
     top = src[y0][:, x0] * (1.0 - wx) + src[y0][:, x1] * wx
     bot = src[y1][:, x0] * (1.0 - wx) + src[y1][:, x1] * wx
-    out = top * (1.0 - wy) + bot * wy
-    return out[:, :, 0] if squeeze else out
+    return top * (1.0 - wy) + bot * wy

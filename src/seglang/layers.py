@@ -14,14 +14,14 @@ from .tensor import (Tensor, ShapeError, add, affine, attend, gelu,
                      layer_norm, randn, tslice, zeros)
 
 NEG_INF = -1e9  # additive mask value; exp underflows to exactly 0.0
+_INIT_STD = 0.02  # std of init_linear's random weights
 
 
 # ---- parameter initialization ----------------------------------------------
 
 def init_linear(store: ParamStore, prefix: str, d_in: int, d_out: int,
-                rng: np.random.Generator, std: float = 0.02,
-                zero: bool = False) -> None:
-    w = zeros((d_in, d_out)) if zero else randn((d_in, d_out), rng, std)
+                rng: np.random.Generator, zero: bool = False) -> None:
+    w = zeros((d_in, d_out)) if zero else randn((d_in, d_out), rng, _INIT_STD)
     store.add(f"{prefix}.w", w)
     store.add(f"{prefix}.b", zeros((d_out,)))
 

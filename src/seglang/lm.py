@@ -7,8 +7,8 @@ the rows the caller reads plus one SegState per seg slot among them (the
 final-layer hidden at that position and the logits the output head produces
 from it). With a DecodeCache a pass runs only the rows appended since the
 previous one (incremental decoding); the engine prefills the feature block
-alone and runs the instruction on that cache, or on a fork of it when its
-memo keeps the block.
+alone and runs each later row, the instruction's too, on that cache (or on a
+fork of it when its memo keeps the block) when the row is read.
 """
 
 from __future__ import annotations

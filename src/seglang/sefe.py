@@ -44,14 +44,14 @@ def check_image(img: np.ndarray, patch: int) -> np.ndarray:
     if img.shape[0] % patch or img.shape[1] % patch:
         raise ShapeError(
             f"image dims {img.shape[:2]} not divisible by patch {patch}")
-    if img.min() < 0.0 or img.max() > 1.0:
+    if not (img.min() >= 0.0 and img.max() <= 1.0):   # NaN fails both
         raise ValueError("image values must lie in [0,1]")
     return img
 
 
 def image_key(img: np.ndarray) -> tuple:
     """Memo key of an image `check_image` returned: shape and pixel digest."""
-    return img.shape, hashlib.blake2b(img.tobytes()).digest()
+    return img.shape, hashlib.sha256(img.tobytes()).digest()
 
 
 def init_encoder(store: ParamStore, prefix: str, d_enc: int, patch: int,

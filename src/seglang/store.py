@@ -16,6 +16,8 @@ from .tensor import Tensor
 
 _CKPT_MAGIC = b"SLCK0001"
 _ADAM_MAGIC = b"ADAM0001"
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+_FD_STEP = 1e-5   # grad_check's central-difference step
 
 
 class CheckpointError(ValueError):
@@ -79,16 +81,15 @@ class ParamStore:
         for p in self.params.values():
             p.grad = None
 
-    def adam_step(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                  eps: float = 1e-8) -> None:
+    def adam_step(self, lr: float) -> None:
         """Adam update over trainable params that received a gradient.
 
         One shared step counter drives bias correction; moment buffers are
         lazily created per parameter and never touch frozen ones.
         """
         self._adam_t += 1
-        c1 = 1.0 - beta1 ** self._adam_t
-        c2 = 1.0 - beta2 ** self._adam_t
+        c1 = 1.0 - _BETA1 ** self._adam_t
+        c2 = 1.0 - _BETA2 ** self._adam_t
         for name, p in self.params.items():
             if not p.requires_grad or p.grad is None:
                 continue
@@ -97,11 +98,11 @@ class ParamStore:
                 m = self._adam_m[name] = np.zeros_like(p.data)
                 self._adam_v[name] = np.zeros_like(p.data)
             v = self._adam_v[name]
-            m *= beta1
-            m += (1.0 - beta1) * p.grad
-            v *= beta2
-            v += (1.0 - beta2) * p.grad * p.grad
-            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * p.grad
+            v *= _BETA2
+            v += (1.0 - _BETA2) * p.grad * p.grad
+            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + _ADAM_EPS)
 
     # -- checkpoint codec ----------------------------------------------------
 
@@ -203,8 +204,7 @@ class ParamStore:
         self._memo.clear()   # memoized outputs would be stale
 
 
-def grad_check(store: ParamStore, loss_fn, h: float = 1e-5,
-               sample_per_param: int | None = None,
+def grad_check(store: ParamStore, loss_fn, sample_per_param: int | None = None,
                rng: np.random.Generator | None = None) -> dict:
     """Compare tape gradients against central finite differences.
 
@@ -238,12 +238,12 @@ def grad_check(store: ParamStore, loss_fn, h: float = 1e-5,
         ga = analytic[name].reshape(-1)
         for i in coords:
             keep = flat[i]
-            flat[i] = keep + h
+            flat[i] = keep + _FD_STEP
             up = loss_fn().item()
-            flat[i] = keep - h
+            flat[i] = keep - _FD_STEP
             down = loss_fn().item()
             flat[i] = keep
-            numeric = (up - down) / (2.0 * h)
+            numeric = (up - down) / (2.0 * _FD_STEP)
             denom = max(abs(ga[i]), abs(numeric), 1e-4)
             rel = abs(ga[i] - numeric) / denom
             checked += 1

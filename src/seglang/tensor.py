@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 _F64 = np.dtype(np.float64)   # a Tensor's data: C-contiguous, in this dtype
+_LN_EPS = 1e-5   # layer_norm's variance floor
 
 
 class ShapeError(ValueError):
@@ -387,12 +388,12 @@ def log_softmax(a: Tensor) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def layer_norm(a: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(a: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance (no affine). Each
     sum over the count is np.mean's and np.var's arithmetic, bit for bit."""
     n = a.data.shape[-1]
     out_data = a.data - a.data.sum(axis=-1, keepdims=True) / n   # centred
-    inv = 1.0 / np.sqrt((out_data * out_data).sum(axis=-1, keepdims=True) / n + eps)
+    inv = 1.0 / np.sqrt((out_data * out_data).sum(axis=-1, keepdims=True) / n + _LN_EPS)
     out_data *= inv
 
     def backward(g):

@@ -174,10 +174,13 @@ def answer_question(model: Model, image: np.ndarray, question: str) -> str:
 
 
 def seg_state_for(model: Model, image: np.ndarray, referring: str):
-    """SegState at a forced seg slot after a direct segmentation prompt."""
+    """SegState at a forced seg slot after a direct segmentation prompt; like
+    an episode's seg slot, its one LM pass runs the waiting instruction too."""
     instruction = engine.prompt_template("refseg", False, model.vocab) \
         + model.vocab.encode(referring)
-    *_, seg_states = engine.prefill(model, image, instruction, seg_slot=True)
+    seq, _, cache, _ = engine.prefill(model, image, instruction)
+    seq.append_seg(1, supervised=False)
+    _, seg_states = lm.forward(seq, model.store, model.cfg, cache, rows=[len(seq) - 1])
     return seg_states[0]
 
 

@@ -179,7 +179,8 @@ def test_probe_file_flaws_name_the_file_and_record(tmp_path, edit, match):
     with pytest.raises(ValueError, match=match) as err:
         load_probes(str(p))
     assert str(err.value).startswith(f"{p}: ")
-    for text, why in (("[{", "not valid JSON"), ("{}", "must be a JSON list, got dict")):
+    for text, why in (("[{", "not valid JSON"), ("{}", "must be a JSON list, got dict"),
+                      ("[]", "holds no probe")):
         p.write_text(text)
         with pytest.raises(ValueError, match=why) as err:
             load_probes(str(p))

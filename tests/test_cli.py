@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+from seglang import training
 from seglang.cli import _add_config_flags, build_parser, main
 from seglang.config import RunConfig
 
@@ -116,6 +117,18 @@ def test_attr_build_refuses_a_split_without_probes(tmp_path):
     with pytest.raises(ValueError, match=r"eval: its attribute records yield no probe"):
         main(["attr-build", "--data-dir", data, "--out", str(probes)])
     assert not probes.exists()
+
+
+def test_attr_score_refuses_an_empty_probe_file_before_loading(tmp_path, monkeypatch):
+    # the file is named, and no checkpoint is read for a file with no probe
+    probes = tmp_path / "probes.json"
+    probes.write_text("[]")
+    loads = []
+    monkeypatch.setattr(training, "load_model", lambda cfg: loads.append(cfg))
+    with pytest.raises(ValueError) as err:
+        main(["attr-score", "--probes", str(probes), "--data-dir", str(tmp_path),
+              "--checkpoint", str(tmp_path / "missing.ckpt")])
+    assert str(err.value) == f"{probes}: holds no probe" and not loads
 
 
 def test_eval_attr_task_is_gone():

@@ -375,8 +375,8 @@ def test_a_scripted_episode_fills_the_default_context():
 @pytest.mark.parametrize("n_regions", [0, 1, 3])
 def test_a_scripted_episode_runs_one_pass_per_seg_slot(rig, monkeypatch, n_regions):
     # the model requires grad, so every prefill misses the memo: one pass for
-    # the feature block, one for the instruction, then one per seg slot,
-    # which also runs the forced text, marker and crop rows before it
+    # the feature block, then one per seg slot, which also runs the waiting
+    # instruction, forced text, marker and crop rows before it
     model, vocab, image = rig
     set_nonempty(model, True)
     words = vocab.encode("segment the red square")
@@ -392,10 +392,11 @@ def test_a_scripted_episode_runs_one_pass_per_seg_slot(rig, monkeypatch, n_regio
     monkeypatch.setattr(lm, "forward", counted)
     result = run_scripted(model, image, words[:1], script, True)
     assert result.end_reason == "eos" and len(result.masks) == n_regions
-    assert len(calls) == 2 + n_regions
+    assert len(calls) == 1 + n_regions
 
-    # read at every step, the same script runs one pass for each step but
-    # the first (a seg slot's pass serves the next step's read)
+    # read at every step, the same script runs the block's pass, the first
+    # read's pass over the instruction, and one pass for each later step (a
+    # seg slot's pass serves the next step's read)
     calls.clear()
     it = iter(script)
     logged = _episode(model, image, words[:1], True, len(script),
@@ -408,8 +409,9 @@ def test_a_scripted_episode_runs_one_pass_per_seg_slot(rig, monkeypatch, n_regio
 @pytest.mark.parametrize("cfg", ORACLE_CONFIGS,
                          ids=[f"toy{s}" for s in range(4)] + ["default"])
 def test_two_chunk_prefill_matches_one_pass(cfg):
-    """The feature-block chunk plus the instruction chunk against one uncached
-    lm.forward over the whole prefix, on a frozen model's memo miss and hit."""
+    """The feature-block chunk plus one cached pass over the waiting instruction
+    against one uncached lm.forward over the whole prefix, on a frozen model's
+    memo miss and hit."""
     vocab = default_vocab()
     model = Model(cfg, vocab, np.random.default_rng(cfg.seed))
     model.store.set_trainable(())
@@ -421,7 +423,10 @@ def test_two_chunk_prefill_matches_one_pass(cfg):
     seq.append_seg(1, supervised=False)
     _, want_states = lm.forward(seq, model.store, cfg)
     for _ in range(2):   # the second pass starts from the memo
-        _, _, cache, logits, _ = prefill(model, image, instruction)
+        waiting, _, cache, logits = prefill(model, image, instruction)
+        assert logits is None and cache.length == f_g.tokens
+        logits, _ = lm.forward(waiting, model.store, cfg, cache,
+                               rows=[len(waiting) - 1])
         assert cache.length == len(seq) - 1
         assert np.max(np.abs(logits.data[-1] - want_logits.data[-1])) <= 1e-12
         assert np.argmax(logits.data[-1]) == np.argmax(want_logits.data[-1])
@@ -430,6 +435,30 @@ def test_two_chunk_prefill_matches_one_pass(cfg):
         assert np.max(np.abs(state.hidden.data - want_states[-1].hidden.data)) <= 1e-12
         assert np.max(np.abs(state.logits.data - want_states[-1].logits.data)) <= 1e-12
         assert "prefill" in model.store.frozen_memo(("",))
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_prefill_runs_the_feature_block_alone(rig, monkeypatch, frozen):
+    # one pass on a miss (every call while the model requires grad), none on
+    # a memo hit; the instruction rows wait, so only an empty instruction
+    # gets the block's last-row logits back
+    model, vocab, image = rig
+    if frozen:
+        model.store.set_trainable(())
+    calls = []
+    forward = lm.forward
+    monkeypatch.setattr(lm, "forward",
+                        lambda *a, **k: calls.append(1) or forward(*a, **k))
+    f_g, _ = model.encode_image(image)
+    want, _ = forward(build_inference_prefix(f_g, [], vocab), model.store, model.cfg)
+    for n, instruction in enumerate(([], vocab.encode("segment the"), [])):
+        seq, _, cache, logits = prefill(model, image, instruction)
+        assert len(calls) == (1 if frozen else n + 1)
+        assert cache.length == f_g.tokens == len(seq) - len(instruction)
+        if instruction:
+            assert logits is None
+        else:
+            assert np.max(np.abs(logits.data[-1] - want.data[-1])) <= 1e-12
 
 
 def test_fuzzed_scripts_at_small_max_seq_match_the_interpreter():

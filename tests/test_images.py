@@ -175,14 +175,6 @@ def test_bilinear_matches_pointwise_oracle():
         assert np.allclose(got, bilinear_oracle(src, oh, ow), atol=1e-12)
 
 
-def test_bilinear_single_channel_and_gray():
-    rng = np.random.default_rng(2)
-    gray = rng.random((4, 4))
-    out = bilinear_resize(gray, 8, 8)
-    assert out.shape == (8, 8)
-    assert np.allclose(out, bilinear_oracle(gray[:, :, None], 8, 8)[:, :, 0])
-
-
 def test_bilinear_constants_and_identity():
     const = np.full((3, 3, 3), 0.7)
     assert np.allclose(bilinear_resize(const, 9, 5), 0.7, atol=1e-12)

@@ -146,6 +146,10 @@ def test_check_image_validation():
         check_image(np.zeros((12, 8, 3)), 8)
     with pytest.raises(ValueError, match=r"\[0,1\]"):
         check_image(np.full((8, 8, 3), 1.5), 8)
+    nan = np.full((64, 64, 3), 0.5)
+    nan[3, 5, 1] = np.nan   # compares False against both bounds
+    with pytest.raises(ValueError, match=r"\[0,1\]"):
+        check_image(nan, 8)
 
 
 def test_model_init_is_seed_deterministic():

@@ -57,7 +57,7 @@ def main() -> None:
     model.store.set_trainable(())
     image = np.random.default_rng(cfg.seed).random((cfg.canvas, cfg.canvas, 3))
     word = vocab.encode("the")[0]
-    seq, _, cache, _, _ = engine.prefill(
+    seq, _, cache, _ = engine.prefill(
         model, image, engine.prompt_template("gcg", True, vocab))
     filled = {}   # context length -> a sequence and cache of its first length - 1 rows
     for n in LENGTHS:
