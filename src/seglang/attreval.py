@@ -12,7 +12,7 @@ the seg-token logits restricted to that class's lexicon.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -30,9 +30,6 @@ class AttrRecord:
     mask: str
     descriptions: list[str]
     attributes: dict[str, str]   # class -> value word
-
-    def to_dict(self) -> dict:
-        return self.__dict__.copy()
 
     @classmethod
     def from_dict(cls, d: dict) -> "AttrRecord":
@@ -57,9 +54,6 @@ class AttrProbe:
     false_value: str
     question_pos: str
     question_neg: str
-
-    def to_dict(self) -> dict:
-        return self.__dict__.copy()
 
     @classmethod
     def from_dict(cls, d: dict) -> "AttrProbe":
@@ -188,7 +182,7 @@ def probe_key(p: AttrProbe) -> str:
 
 
 def save_probes(probes: list[AttrProbe], path: str) -> None:
-    write_json(path, [p.to_dict() for p in probes])
+    write_json(path, [asdict(p) for p in probes])
 
 
 def load_probes(path: str) -> list[AttrProbe]:

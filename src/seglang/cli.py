@@ -118,7 +118,7 @@ def cmd_generate(args) -> int:
         write_pgm_prob(os.path.join(cfg.out_dir, f"mask_{i}.pgm"), m)
         write_pgm(os.path.join(cfg.out_dir, f"mask_{i}_bin.pgm"),
                   binarize(m, cfg.threshold))
-    print(result.token_text(model.vocab))
+    print(model.vocab.decode(result.output_tokens))
     print(f"{len(result.masks)} masks -> {cfg.out_dir}")
     if result.protocol_error:
         print(f"protocol error: {result.protocol_error}", file=sys.stderr)

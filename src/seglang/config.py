@@ -65,6 +65,11 @@ class RunConfig:
                              f"{self.batch} and {self.max_steps}")
         if not 0.0 <= self.interleave_boost < 1.0:
             raise ValueError("interleave_boost must be in [0, 1)")
+        if not 0.0 < self.lr < float("inf") or self.steps < 0:
+            raise ValueError(f"lr must be finite and positive and steps at least 0, "
+                             f"got {self.lr} and {self.steps}")
+        if not 0.0 < self.threshold < 1.0:
+            raise ValueError(f"threshold must be in (0, 1), got {self.threshold}")
 
     @property
     def vocab_file(self) -> str:
@@ -92,9 +97,6 @@ class RunConfig:
         if overrides:
             fields.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**fields)
-
-    def save(self, path: str) -> None:
-        write_json(path, dataclasses.asdict(self), sort_keys=True)
 
 
 def read_json(path: str, kind: type):

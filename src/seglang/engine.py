@@ -42,9 +42,6 @@ class GenerationResult:
     def truncated(self) -> bool:   # the episode stopped before an end token
         return self.end_reason != "eos"
 
-    def token_text(self, vocab) -> str:
-        return vocab.decode(self.output_tokens)
-
 
 def prompt_template(task: str, ilvc: bool, vocab) -> list[int]:
     """Instruction prefix for a task; the final word switches interleaving."""

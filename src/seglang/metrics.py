@@ -24,9 +24,6 @@ class MetricReport:
     total_intersection: int
     total_union: int
 
-    def to_dict(self) -> dict:
-        return self.__dict__.copy()
-
 
 def _counts(pred: np.ndarray, gt: np.ndarray) -> tuple[int, int]:
     """(|pred ∩ gt|, |pred ∪ gt|) in pixels."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -262,8 +262,8 @@ def make_split(seed: int, n_train: int, n_eval: int, out_dir: str,
                 rel_mask = f"masks/{scene_name}_obj{k}.pgm"
                 write_pgm(os.path.join(sdir, rel_mask), obj.mask)
                 rel_masks.append(rel_mask)
-                records.append(attr_record(scene_name, k, obj, rel_image,
-                                           rel_mask).to_dict())
+                records.append(asdict(attr_record(scene_name, k, obj, rel_image,
+                                                  rel_mask)))
             samples.extend(_scene_samples(scene_name, scene, rng, rel_image,
                                           rel_masks, vocab))
         with open(os.path.join(sdir, "samples.jsonl"), "w",
@@ -306,6 +306,9 @@ def load_split(split_dir: str, vocab: Vocab) -> list[Sample]:
                     read_ppm(os.path.join(split_dir, path)))
             regions = [(read_pgm(os.path.join(split_dir, mask)),
                         vocab.encode(desc)) for mask, desc in masks]
+            if any(m.shape != image_cache[path].shape[:2] for m, _ in regions):
+                raise ValueError(f"{name}:{n}: bad sample record: mask sizes "
+                                 f"{[m.shape for m, _ in regions]} vs image {path}")
             samples.append(Sample(
                 sample_id=sid, task=task, ilvc=ilvc,
                 image=image_cache[path], regions=regions,

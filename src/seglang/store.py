@@ -43,9 +43,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
 
-    def names(self) -> list[str]:
-        return list(self.params.keys())
-
     def frozen_memo(self, prefixes: tuple[str, ...]) -> dict | None:
         """The memo for outputs that depend only on the parameters under
         `prefixes`, or None while any of them requires grad. That call also

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -144,7 +145,7 @@ def eval_refseg(model: Model, data_dir: str, ilvc_enabled: bool,
             correct += int((logits.data.argmax(1) == seq.layout()[0][positions]).sum())
             total += len(positions)
     desc_acc = correct / total if total else 0.0
-    return {"metrics": report.to_dict(), "desc_token_acc": desc_acc,
+    return {"metrics": asdict(report), "desc_token_acc": desc_acc,
             "desc_tokens": total, "n_samples": len(seg_samples),
             "ilvc_enabled": ilvc_enabled, "rows": rows}
 

@@ -21,13 +21,15 @@ from seglang.model import STAGE_PREFIXES, Model
 from seglang.scenes import (attr_record, default_vocab, generate_scene,
                             load_split, make_split)
 from seglang.sefe import FeatureGrid, fuse, init_sefe
-from seglang.sequence import build_training_sequence, parse_training_sequence
+from seglang.sequence import build_training_sequence
 from seglang.store import ParamStore
 from seglang.suites import (conformance_suite, grad_check_suite,
                             make_toy_config, make_toy_sample)
 from seglang.tensor import Tensor
 from seglang.training import eval_refseg, train
 from seglang.vocab import Vocab
+
+from layout_oracle import expected_kinds, kinds, parse_training_sequence
 
 # criterion-7 operating point: 512 train scenes, the default recipe below,
 # thresholds frozen after the first verified full run
@@ -114,19 +116,6 @@ def test_criterion_02_fusion_residual_identity():
 
 # ---- 3: layout conformance -------------------------------------------------
 
-def _expected_kinds(sample, ilvc):
-    kinds = ["feat:global"] + ["text"] * len(sample.instruction)
-    for i in range(1, len(sample.regions) + 1):
-        kinds.append(f"seg:{i}")
-        if ilvc:
-            kinds += ["text", f"feat:local:{i}", "text"]
-            kinds += ["text"] * len(sample.regions[i - 1][1])
-            kinds += ["text"]
-    kinds += ["text"] * len(sample.response)
-    kinds += ["text"]
-    return kinds
-
-
 def test_criterion_03_layout_conformance():
     vocab = default_vocab()
     failures = []
@@ -141,7 +130,7 @@ def test_criterion_03_layout_conformance():
             f_g, sample.instruction, sample.regions, sample.image,
             model.store, cfg, vocab, ilvc=True,
             response=sample.response or None)
-        if seq.kinds() != _expected_kinds(sample, True):
+        if kinds(seq) != expected_kinds(sample, True):
             failures.append(f"N={n_regions} kinds")
         parsed = parse_training_sequence(seq)
         if parsed["n"] != n_regions \
@@ -344,7 +333,7 @@ def test_criterion_09_stage1_freeze(trained):
     after.load(cfg1.checkpoint)
     frozen_bad = []
     moved = []
-    for name in fresh.store.names():
+    for name in list(fresh.store.params):
         same = np.array_equal(after.store[name].data, fresh.store[name].data)
         if name.startswith(STAGE_PREFIXES[1]):
             if not same:

@@ -1,6 +1,7 @@
 """Attribute probing: question forms, probe construction, recount oracles."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ def test_probe_building_is_seeded():
     records = records_from_scenes()
     a = build_probes(records, vocab, seed=7)
     b = build_probes(records, vocab, seed=7)
-    assert [p.to_dict() for p in a] == [p.to_dict() for p in b]
+    assert [asdict(p) for p in a] == [asdict(p) for p in b]
     c = build_probes(records, vocab, seed=8)
     assert [p.false_value for p in a] != [p.false_value for p in c] \
         or len(a) <= 3  # tiny record sets can coincide
@@ -159,7 +160,7 @@ def test_probe_file_roundtrip(tmp_path):
     p = str(tmp_path / "probes.json")
     save_probes(probes, p)
     back = load_probes(p)
-    assert [q.to_dict() for q in back] == [q.to_dict() for q in probes]
+    assert [asdict(q) for q in back] == [asdict(q) for q in probes]
 
 
 @pytest.mark.parametrize("edit,match", [
@@ -189,4 +190,4 @@ def test_probe_file_flaws_name_the_file_and_record(tmp_path, edit, match):
 
 def test_record_roundtrip():
     rec = records_from_scenes(1, seed=10)[0]
-    assert AttrRecord.from_dict(rec.to_dict()) == rec
+    assert AttrRecord.from_dict(asdict(rec)) == rec

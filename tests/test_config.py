@@ -1,11 +1,13 @@
 """Run configuration: validation, file roundtrip, derived values."""
 
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
 
+from seglang import config
 from seglang.config import RunConfig
 
 
@@ -13,6 +15,7 @@ def test_defaults_pass_validation():
     cfg = RunConfig()
     assert cfg.stage == 1
     assert cfg.vocab_file == "data/vocab.txt"
+    assert RunConfig(steps=0).steps == 0   # a seeded init writes a 0-step checkpoint
 
 
 def test_vocab_path_overrides_data_dir():
@@ -37,6 +40,15 @@ def test_vocab_path_overrides_data_dir():
     dict(n_heads=0),
     dict(max_seq=-1),
     dict(max_steps=0),           # an episode must run at least one step
+    dict(lr=float("nan")),       # would die a step later on a non-finite loss
+    dict(lr=float("inf")),
+    dict(lr=0.0),
+    dict(lr=-1.0),
+    dict(steps=-3),              # would write an untrained checkpoint
+    dict(threshold=1.5),         # every crop would meet an empty mask
+    dict(threshold=1.0),
+    dict(threshold=0.0),
+    dict(threshold=float("nan")),
 ])
 def test_invalid_shapes_rejected(bad):
     with pytest.raises(ValueError):
@@ -46,7 +58,7 @@ def test_invalid_shapes_rejected(bad):
 def test_save_load_roundtrip(tmp_path):
     cfg = RunConfig(d_model=32, steps=7, lr=0.01, data_dir="x")
     path = str(tmp_path / "cfg.json")
-    cfg.save(path)
+    config.write_json(path, dataclasses.asdict(cfg), sort_keys=True)
     assert RunConfig.load(path) == cfg
 
 
@@ -104,7 +116,8 @@ def test_truncated_or_flipped_config_fails_closed(tmp_path):
     """Every cut and random byte flip of a saved config either loads or raises
     a plain ValueError; one whose bytes are no JSON object names the file."""
     good = tmp_path / "good.json"
-    RunConfig(d_model=32, steps=7, data_dir="x").save(str(good))
+    cfg = RunConfig(d_model=32, steps=7, data_dir="x")
+    config.write_json(str(good), dataclasses.asdict(cfg), sort_keys=True)
     data = good.read_bytes()
     rng = np.random.default_rng(0)
     variants = [data[:cut] for cut in range(len(data))]

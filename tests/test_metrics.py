@@ -1,5 +1,7 @@
 """IoU metrics against per-pixel counting oracles."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -83,5 +85,5 @@ def test_aggregate_empty_input_rejected():
 def test_report_to_dict_roundtrip():
     pred = np.ones((2, 2), dtype=bool)
     rep = aggregate([(pred, pred)])
-    d = rep.to_dict()
+    d = asdict(rep)
     assert d["ciou"] == 1.0 and d["giou"] == 1.0 and d["n"] == 1

@@ -8,6 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
+from seglang.images import write_pgm
 from seglang.scenes import (BACKGROUND, COLOR_RGB, COLOR_WORDS,
                             LOCATION_WORDS, SHAPE_WORDS, SceneLayoutError,
                             _cells, default_vocab, generate_scene,
@@ -190,6 +191,17 @@ def test_sample_record_with_a_bad_field_is_refused(tiny_split, tmp_path, field,
     (split / "samples.jsonl").write_text("\n".join(lines) + "\n",
                                          encoding="utf-8")
     with pytest.raises(ValueError, match="samples.jsonl:1: bad sample record"):
+        load_split(str(split), default_vocab())
+
+
+def test_mask_whose_size_differs_from_its_image_is_refused(tiny_split, tmp_path):
+    split = tmp_path / "train"
+    shutil.copytree(os.path.join(tiny_split, "train"), split)
+    lines = (split / "samples.jsonl").read_text(encoding="utf-8").splitlines()
+    mask = json.loads(lines[0])["regions"][0]["mask"]   # an interleaved refseg sample
+    write_pgm(str(split / mask), np.ones((8, 8), dtype=bool))
+    with pytest.raises(ValueError, match=r"samples.jsonl:1: bad sample record: "
+                                         r"mask sizes \[\(8, 8\)\]"):
         load_split(str(split), default_vocab())
 
 

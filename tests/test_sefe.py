@@ -157,8 +157,8 @@ def test_model_init_is_seed_deterministic():
     cfg = make_toy_config(3)
     m1 = Model(cfg, vocab, np.random.default_rng(42))
     m2 = Model(cfg, vocab, np.random.default_rng(42))
-    assert m1.store.names() == m2.store.names()
-    for name in m1.store.names():
+    assert list(m1.store.params) == list(m2.store.params)
+    for name in list(m1.store.params):
         assert np.array_equal(m1.store[name].data, m2.store[name].data), name
 
 
@@ -180,7 +180,7 @@ def loss_and_grads(model, sample):
     report = model.sample_loss(sample)
     report.total.backward()
     return report.total.data.copy(), {
-        n: model.store[n].grad.copy() for n in model.store.names()
+        n: model.store[n].grad.copy() for n in list(model.store.params)
         if model.store[n].requires_grad and model.store[n].grad is not None}
 
 

@@ -14,10 +14,11 @@ from seglang.scenes import default_vocab
 from seglang.sefe import FeatureGrid
 from seglang.sequence import (EmptyMaskError, FeatureBlock, InterleavedSequence,
                               SegSlot, TextToken, build_inference_prefix,
-                              build_training_sequence, crop_region,
-                              parse_training_sequence)
+                              build_training_sequence, crop_region)
 from seglang.tensor import ShapeError, Tensor
 from seglang.suites import make_toy_config, make_toy_sample
+
+from layout_oracle import expected_kinds, kinds, parse_training_sequence
 
 
 def build(n_regions, ilvc=True, with_response=False, seed=0):
@@ -33,29 +34,16 @@ def build(n_regions, ilvc=True, with_response=False, seed=0):
     return vocab, cfg, sample, seq
 
 
-def expected_kinds(sample, ilvc):
-    kinds = ["feat:global"] + ["text"] * len(sample.instruction)
-    for i in range(1, len(sample.regions) + 1):
-        kinds.append(f"seg:{i}")
-        if ilvc:
-            kinds += ["text", f"feat:local:{i}", "text"]
-            kinds += ["text"] * len(sample.regions[i - 1][1])
-            kinds += ["text"]
-    kinds += ["text"] * len(sample.response)
-    kinds += ["text"]  # end token
-    return kinds
-
-
 @pytest.mark.parametrize("n_regions", [0, 1, 2, 5])
 def test_layout_kind_order(n_regions):
     _, _, sample, seq = build(n_regions, ilvc=True, seed=n_regions)
-    assert seq.kinds() == expected_kinds(sample, ilvc=True)
+    assert kinds(seq) == expected_kinds(sample, ilvc=True)
 
 
 @pytest.mark.parametrize("n_regions", [0, 1, 2, 5])
 def test_layout_kind_order_without_interleaving(n_regions):
     _, _, sample, seq = build(n_regions, ilvc=False, seed=10 + n_regions)
-    assert seq.kinds() == expected_kinds(sample, ilvc=False)
+    assert kinds(seq) == expected_kinds(sample, ilvc=False)
 
 
 @pytest.mark.parametrize("n_regions", [0, 1, 2, 5])

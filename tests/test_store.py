@@ -21,7 +21,7 @@ def test_add_marks_trainable_and_rejects_duplicates():
     assert all(p.requires_grad for p in store.params.values())
     with pytest.raises(ValueError, match="duplicate"):
         store.add("enc.w", Tensor(np.zeros(2)))
-    assert store.names() == ["enc.w", "enc.b", "head.w", "head.s"]
+    assert list(store.params) == ["enc.w", "enc.b", "head.w", "head.s"]
 
 
 def test_set_trainable_prefix_partition():

@@ -89,7 +89,7 @@ def test_stage1_moves_only_scheduled_params(tiny_split, tmp_path):
     fresh = Model(cfg, Vocab.load(cfg.vocab_file))
     trained = load_model(cfg)
     moved = []
-    for name in fresh.store.names():
+    for name in list(fresh.store.params):
         same = np.array_equal(trained.store[name].data, fresh.store[name].data)
         if name.startswith(STAGE_PREFIXES[1]):
             if not same:
@@ -104,7 +104,7 @@ def test_load_model_freezes_every_parameter(tiny_split, tmp_path):
     Model(cfg, Vocab.load(cfg.vocab_file)).save(str(tmp_path / "init.ckpt"))
     cfg.checkpoint = str(tmp_path / "init.ckpt")
     model = load_model(cfg)
-    assert not any(model.store[n].requires_grad for n in model.store.names())
+    assert not any(model.store[n].requires_grad for n in list(model.store.params))
     image = np.random.default_rng(0).random((cfg.canvas, cfg.canvas, 3))
     state = seg_state_for(model, image, "the red square")
     assert not state.hidden.requires_grad    # so it holds no forward tape
@@ -133,11 +133,11 @@ def test_stage2_warm_starts_from_checkpoint(tiny_split, tmp_path):
     train(cfg2)
     m1, m2 = load_model(cfg1), load_model(cfg2)
     # encoders stay frozen through both stages
-    for name in m2.store.names():
+    for name in list(m2.store.params):
         if name.startswith(("sem_enc.", "pix_enc.")):
             assert np.array_equal(m2.store[name].data, m1.store[name].data)
     assert any(not np.array_equal(m2.store[n].data, m1.store[n].data)
-               for n in m2.store.names() if n.startswith("lm."))
+               for n in list(m2.store.params) if n.startswith("lm."))
 
 
 def test_train_rejects_empty_split(tmp_path):
